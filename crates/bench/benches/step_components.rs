@@ -1,9 +1,9 @@
 //! Criterion microbenches for the per-step components of the fleet
 //! engines — the reproducible form of the profiling table in
-//! `DESIGN.md` §10/§14.
+//! `DESIGN.md` §10.
 //!
 //! Each pair benches one strength reduction the vectorized engine
-//! applies against the scalar form the batch engine pays per step:
+//! applies against the scalar form the per-node engine pays per step:
 //!
 //! - **load walk** — `energy_demand` (absolute clock, one `rem_euclid`
 //!   per step) vs `energy_demand_with_cursor` (incremental

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use eh_fleet::Engine;
 use eh_serve::envcfg::{positive_usize, EnvError};
 use eh_sim::SweepRunner;
 
@@ -65,88 +66,61 @@ pub fn smoke_mode() -> bool {
     parse_flag(std::env::args().skip(1), "--smoke")
 }
 
-/// Which fleet engines an experiment binary should exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Only the per-node reference engine.
-    PerNode,
-    /// Only the struct-of-arrays batch engine.
-    Batch,
-    /// Only the wide-lane vectorized engine.
-    Vectorized,
-    /// The two bit-identical engines, side by side (the bench then
-    /// also asserts their reports are bit-identical).
-    Both,
-    /// Every engine (the default): the bit-identical pair plus the
-    /// vectorized engine under its bounded-divergence contract.
-    All,
-}
-
-impl EngineChoice {
-    /// The fleet engines this choice selects, reference engine first.
-    pub fn engines(self) -> Vec<eh_fleet::Engine> {
-        match self {
-            EngineChoice::PerNode => vec![eh_fleet::Engine::PerNode],
-            EngineChoice::Batch => vec![eh_fleet::Engine::Batch],
-            EngineChoice::Vectorized => vec![eh_fleet::Engine::Vectorized],
-            EngineChoice::Both => vec![eh_fleet::Engine::PerNode, eh_fleet::Engine::Batch],
-            EngineChoice::All => eh_fleet::Engine::ALL.to_vec(),
-        }
-    }
-
-    /// Stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineChoice::PerNode => "per-node",
-            EngineChoice::Batch => "batch",
-            EngineChoice::Vectorized => "vectorized",
-            EngineChoice::Both => "both",
-            EngineChoice::All => "all",
-        }
-    }
-}
-
-/// Parses an engine selection from command-line arguments
-/// (`--engine per-node|batch|both` or `--engine=...`) and the
-/// `EH_ENGINE` environment variable; the command line wins. Unparsable
-/// values are ignored so a typo degrades to the default instead of a
-/// crash deep inside an experiment run.
-pub fn parse_engine<I, S>(args: I, env_value: Option<&str>) -> Option<EngineChoice>
+/// Parses a fleet-engine selection from command-line arguments
+/// (`--engine per-node|vectorized|all` or `--engine=...`) and the
+/// `EH_ENGINE` environment variable; the command line wins.
+///
+/// `Some(engine)` selects one engine; `None` — no override, or `all` —
+/// selects both. Parsing is strict, like [`parse_workers`]: a misspelled
+/// engine is an [`EnvError`] naming the knob, never a silent fallback
+/// to benchmarking every engine.
+///
+/// # Errors
+///
+/// [`EnvError`] when an override is present but names no engine.
+pub fn parse_engine<I, S>(args: I, env_value: Option<&str>) -> Result<Option<Engine>, EnvError>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let parse = |s: &str| match s.trim().to_ascii_lowercase().as_str() {
-        "both" => Some(EngineChoice::Both),
-        "all" => Some(EngineChoice::All),
-        other => eh_fleet::Engine::parse(other).map(|e| match e {
-            eh_fleet::Engine::PerNode => EngineChoice::PerNode,
-            eh_fleet::Engine::Batch => EngineChoice::Batch,
-            eh_fleet::Engine::Vectorized => EngineChoice::Vectorized,
-            _ => EngineChoice::All,
+    let parse = |source: &str, raw: &str| match raw.trim().to_ascii_lowercase().as_str() {
+        "all" => Ok(None),
+        other => Engine::parse(other).map(Some).ok_or_else(|| EnvError {
+            source: source.to_owned(),
+            raw: raw.to_owned(),
+            expected: "per-node, vectorized or all",
         }),
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let arg = arg.as_ref();
         if arg == "--engine" {
-            return args.next().and_then(|v| parse(v.as_ref()));
+            let raw = args.next();
+            return parse("--engine", raw.as_ref().map_or("", AsRef::as_ref));
         }
         if let Some(v) = arg.strip_prefix("--engine=") {
-            return parse(v);
+            return parse("--engine", v);
         }
     }
-    env_value.and_then(parse)
+    env_value.map_or(Ok(None), |raw| parse("EH_ENGINE", raw))
 }
 
-/// The engine selection for this invocation: `--engine` on the command
-/// line, else the `EH_ENGINE` environment variable, else every engine.
-pub fn engine_choice() -> EngineChoice {
-    parse_engine(
+/// The fleet engines this invocation selected, reference first:
+/// `--engine` on the command line, else the `EH_ENGINE` environment
+/// variable, else both. A present-but-invalid override terminates the
+/// process with exit code 2 and a message naming the knob.
+pub fn engines() -> Vec<Engine> {
+    match parse_engine(
         std::env::args().skip(1),
         std::env::var("EH_ENGINE").ok().as_deref(),
-    )
-    .unwrap_or(EngineChoice::All)
+    ) {
+        Ok(Some(engine)) => vec![engine],
+        Ok(None) => Engine::ALL.to_vec(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Clamps a worker-count sweep to the host's available parallelism,
@@ -335,40 +309,35 @@ mod tests {
     fn engine_override_resolution() {
         // Command line beats the environment.
         assert_eq!(
-            parse_engine(["--engine", "batch"], Some("per-node")),
-            Some(EngineChoice::Batch)
+            parse_engine(["--engine", "vectorized"], Some("per-node")),
+            Ok(Some(Engine::Vectorized))
         );
         assert_eq!(
-            parse_engine(["--engine=per-node"], Some("batch")),
-            Some(EngineChoice::PerNode)
-        );
-        assert_eq!(
-            parse_engine(["--engine", "Both"], None),
-            Some(EngineChoice::Both)
+            parse_engine(["--engine=per-node"], Some("vectorized")),
+            Ok(Some(Engine::PerNode))
         );
         // Environment fallback.
         assert_eq!(
-            parse_engine(Vec::<String>::new(), Some("batch")),
-            Some(EngineChoice::Batch)
+            parse_engine(Vec::<String>::new(), Some("per_node")),
+            Ok(Some(Engine::PerNode))
         );
-        assert_eq!(
-            parse_engine(["--engine", "all"], None),
-            Some(EngineChoice::All)
-        );
-        assert_eq!(
-            parse_engine(["--engine=vectorized"], None),
-            Some(EngineChoice::Vectorized)
-        );
-        // Garbage degrades to None (default), never panics.
-        assert_eq!(parse_engine(["--engine", "warp"], None), None);
-        assert_eq!(parse_engine(Vec::<String>::new(), None), None);
-        // Selected engine lists are reference-first.
-        assert_eq!(
-            EngineChoice::Both.engines(),
-            vec![eh_fleet::Engine::PerNode, eh_fleet::Engine::Batch]
-        );
-        assert_eq!(EngineChoice::Batch.engines(), vec![eh_fleet::Engine::Batch]);
-        assert_eq!(EngineChoice::All.engines(), eh_fleet::Engine::ALL.to_vec());
+        // `all` and no override both select every engine.
+        assert_eq!(parse_engine(["--engine", "All"], None), Ok(None));
+        assert_eq!(parse_engine(Vec::<String>::new(), None), Ok(None));
+    }
+
+    #[test]
+    fn engine_garbage_is_a_hard_error() {
+        // A misspelled engine must fail loudly, naming the knob and the
+        // rejected value — never degrade to benchmarking every engine.
+        let err = parse_engine(["--engine", "vectorised"], None).unwrap_err();
+        assert_eq!(err.source, "--engine");
+        assert_eq!(err.raw, "vectorised");
+        assert!(parse_engine(["--engine=warp"], Some("per-node")).is_err());
+        assert!(parse_engine(["--engine"], None).is_err());
+        let err = parse_engine(Vec::<String>::new(), Some("gpu")).unwrap_err();
+        assert_eq!(err.source, "EH_ENGINE");
+        assert!(err.to_string().contains("per-node, vectorized or all"));
     }
 
     #[test]

@@ -254,8 +254,8 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// The reference endurance question: `nodes` nodes for two simulated
     /// years (730 days, 73-day epochs) at 52° N temperate, duty-cycled
-    /// radio load, reference drift and fault plan, FOCV on the batch
-    /// engine, 600 s step.
+    /// radio load, reference drift and fault plan, FOCV on the
+    /// vectorized engine, 600 s step.
     pub fn reference(nodes: u32, seed: u64) -> Self {
         Self {
             name: format!("endurance x{nodes} 730d temperate"),
@@ -269,7 +269,7 @@ impl CampaignSpec {
             drift: DriftRates::reference(),
             faults: FaultPlan::reference(),
             tracker: TrackerKind::Focv,
-            engine: Engine::Batch,
+            engine: Engine::Vectorized,
             dt: Seconds::new(600.0),
         }
     }

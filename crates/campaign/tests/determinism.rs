@@ -1,5 +1,5 @@
 //! Campaign determinism contract, mirroring the fleet layer's
-//! `batch_equivalence` suite: a [`CampaignReport`] is a pure function
+//! `determinism` suite: a [`CampaignReport`] is a pure function
 //! of the spec — bit-identical across worker counts and shard sizes —
 //! and prefix-stable in fleet size, because every per-node input
 //! stream (population, schedules, weather) is order-pinned.

@@ -156,28 +156,16 @@ impl TrackerKind {
     }
 }
 
-/// Replays the same seeded population against every [`TrackerKind`],
-/// returning one merged [`FleetReport`] per kind in
-/// [`TrackerKind::ALL`] order.
+/// Replays the same seeded population against every [`TrackerKind`]
+/// through `engine`, returning one merged [`FleetReport`] per kind in
+/// [`TrackerKind::ALL`] order. The shared fleet inputs (population,
+/// traces, warmed surfaces) are prepared once and reused across all
+/// tracker kinds.
 ///
 /// # Errors
 ///
 /// Propagates the first failing fleet run.
 pub fn compare_trackers_over_fleet(
-    spec: &FleetSpec,
-    runner: &FleetRunner,
-) -> Result<Vec<(TrackerKind, FleetReport)>, FleetError> {
-    compare_trackers_over_fleet_with(spec, runner, crate::Engine::PerNode)
-}
-
-/// [`compare_trackers_over_fleet`] through an explicit execution
-/// engine. The shared fleet inputs (population, traces, warmed
-/// surfaces) are prepared once and reused across all tracker kinds.
-///
-/// # Errors
-///
-/// Propagates the first failing fleet run.
-pub fn compare_trackers_over_fleet_with(
     spec: &FleetSpec,
     runner: &FleetRunner,
     engine: crate::Engine,
@@ -227,7 +215,8 @@ mod tests {
         spec.trace_decimate = 1200;
         spec.dt = Seconds::new(1200.0);
         spec.tolerances = Tolerances::production_batch();
-        let rows = compare_trackers_over_fleet(&spec, &FleetRunner::new(2)).unwrap();
+        let rows = compare_trackers_over_fleet(&spec, &FleetRunner::new(2), crate::Engine::PerNode)
+            .unwrap();
         assert_eq!(rows.len(), TrackerKind::ALL.len());
         for (kind, report) in &rows {
             assert_eq!(report.nodes(), 6, "{} lost nodes", kind.label());
@@ -281,7 +270,7 @@ mod tests {
         let mut spec = FleetSpec::mixed_indoor_outdoor(6, 99).unwrap();
         spec.nodes = 0;
         for engine in crate::Engine::ALL {
-            let err = compare_trackers_over_fleet_with(&spec, &FleetRunner::new(2), engine);
+            let err = compare_trackers_over_fleet(&spec, &FleetRunner::new(2), engine);
             assert!(err.is_err(), "{engine:?} must reject an empty fleet");
         }
     }

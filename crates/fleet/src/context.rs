@@ -2,17 +2,17 @@
 //!
 //! Building a fleet's shared inputs — the seeded population, one base
 //! day trace per placement, the warmed PV surface pool, the cold-start
-//! supervisor constants — costs hundreds of milliseconds, which used to
-//! be paid on every [`crate::FleetRunner::run`] call. A [`FleetContext`]
-//! hoists that setup so repeated runs (tracker comparisons, benchmarks,
-//! engine cross-checks) pay it once; both the per-node and the batch
-//! engine execute against the same prepared context, which is also what
-//! makes their outputs directly comparable.
+//! supervisor constants — costs hundreds of milliseconds. A
+//! [`FleetContext`] hoists that setup so repeated runs (tracker
+//! comparisons, benchmarks, engine cross-checks) pay it once; both the
+//! per-node and the vectorized engine execute against the same prepared
+//! context, which is also what makes their outputs directly comparable.
 
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::{week, TimeSeries};
 use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::PvCell;
+use eh_sim::Mergeable as _;
 use eh_units::{Lux, Volts};
 
 use crate::compare::TrackerKind;
@@ -150,18 +150,25 @@ impl FleetContext {
     }
 
     /// Simulates one shard of nodes through the chosen engine and folds
-    /// their reports in fleet order — the public per-shard entry point
-    /// long-running callers (the serving layer's streaming and
-    /// checkpoint/resume paths) drive directly.
+    /// their reports in fleet order — the one place the engine is
+    /// chosen, and the public per-shard entry point long-running callers
+    /// (the serving layer's streaming and checkpoint/resume paths, the
+    /// campaign layer) drive directly.
     ///
-    /// Folding the returned shard reports in shard index order
-    /// reproduces [`crate::FleetRunner`]'s output **bit for bit** at
-    /// equal shard grouping: `run_merged` performs exactly this
-    /// per-shard fold followed by an in-order reduce.
+    /// [`Engine::Vectorized`] runs FOCV on a `pv_cache` fleet through
+    /// its wide lanes; every other tracker, and every fleet with
+    /// `pv_cache: false`, has no wide-lane transcription and takes the
+    /// per-node fold whatever the engine, so it stays bit-identical to
+    /// the oracle.
+    ///
+    /// Folding the returned shard reports in shard index order is
+    /// exactly what [`crate::FleetRunner::run_engine_prepared`] does, so
+    /// a caller-side fold reproduces its output **bit for bit** at equal
+    /// shard grouping.
     ///
     /// # Errors
     ///
-    /// As [`crate::FleetRunner::run`]; an empty shard is
+    /// As [`crate::FleetRunner::run_engine`]; an empty shard is
     /// [`FleetError::EmptyFleet`].
     pub fn simulate_shard(
         &self,
@@ -169,22 +176,18 @@ impl FleetContext {
         engine: Engine,
         nodes: Vec<NodeSpec>,
     ) -> Result<FleetReport, FleetError> {
-        match engine {
-            Engine::Batch => crate::batch::simulate_shard(self, kind, nodes),
-            Engine::Vectorized => crate::vectorized::simulate_shard(self, kind, nodes),
-            Engine::PerNode => {
-                use eh_sim::Mergeable as _;
-                let mut merged: Option<Result<FleetReport, FleetError>> = None;
-                for node in nodes {
-                    let single = self.simulate_node(kind, node);
-                    match merged.as_mut() {
-                        None => merged = Some(single),
-                        Some(m) => m.merge(single),
-                    }
-                }
-                crate::run::merged_or_empty(merged)
+        if engine == Engine::Vectorized && kind == TrackerKind::Focv && self.spec.pv_cache {
+            return crate::vectorized::simulate_shard(self, nodes);
+        }
+        let mut merged: Option<Result<FleetReport, FleetError>> = None;
+        for node in nodes {
+            let single = self.simulate_node(kind, node);
+            match merged.as_mut() {
+                None => merged = Some(single),
+                Some(m) => m.merge(single),
             }
         }
+        crate::run::merged_or_empty(merged)
     }
 
     /// The shared base trace of a placement in use.
@@ -212,7 +215,7 @@ impl FleetContext {
     }
 
     /// Simulates one node with the per-node oracle engine — the body
-    /// every shard worker folds over, and the reference the batch
+    /// the per-node shard fold runs, and the reference the vectorized
     /// engine is equivalence-tested against.
     pub(crate) fn simulate_node(
         &self,

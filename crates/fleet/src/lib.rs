@@ -15,7 +15,15 @@
 //! ```text
 //! FleetSpec ─▶ population (seeded, 9 draws/node) ─▶ shards ─▶ merge
 //!      shared: base day trace per placement + warmed PV surface
+//!      engine: per-node oracle, or vectorized lane packs (FOCV)
 //! ```
+//!
+//! One entry point runs a fleet: [`FleetRunner::run_engine_prepared`]
+//! over a [`FleetContext`] (or [`FleetRunner::run_engine`], which
+//! prepares the context first), with the tracker and the [`Engine`] as
+//! arguments. [`Engine::PerNode`] is the exact oracle;
+//! [`Engine::Vectorized`] is about twice as fast on FOCV fleets and
+//! holds a bounded-divergence contract against it.
 //!
 //! Determinism is end-to-end: the population is a pure function of
 //! `(spec, seed)`, every node owns its jitter, and shard reports merge
@@ -25,25 +33,26 @@
 //! # Example
 //!
 //! ```
-//! use eh_fleet::{FleetRunner, FleetSpec};
+//! use eh_fleet::{Engine, FleetContext, FleetRunner, FleetSpec, TrackerKind};
 //! use eh_units::Seconds;
 //!
 //! let mut spec = FleetSpec::mixed_indoor_outdoor(12, 7)?;
 //! spec.trace_decimate = 600; // 10-minute light grid keeps the doctest quick
 //! spec.dt = Seconds::new(600.0);
-//! let report = FleetRunner::new(2).run(&spec)?;
+//! let ctx = FleetContext::prepare(&spec)?;
+//! let report = FleetRunner::new(2).run_engine_prepared(&ctx, TrackerKind::Focv, Engine::PerNode)?;
 //! assert_eq!(report.nodes(), 12);
 //! let p = report.net_energy_percentiles().expect("non-empty fleet");
 //! assert!(p.p5 <= p.p50 && p.p50 <= p.p95);
 //! // Bit-identical on a single worker.
-//! assert_eq!(report, FleetRunner::new(1).run(&spec)?);
+//! let one = FleetRunner::new(1).run_engine_prepared(&ctx, TrackerKind::Focv, Engine::PerNode)?;
+//! assert_eq!(report, one);
 //! # Ok::<(), eh_fleet::FleetError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod compare;
 mod context;
 mod error;
@@ -54,11 +63,11 @@ mod run;
 mod spec;
 mod vectorized;
 
-pub use compare::{compare_trackers_over_fleet, compare_trackers_over_fleet_with, TrackerKind};
+pub use compare::{compare_trackers_over_fleet, TrackerKind};
 pub use context::FleetContext;
 pub use error::FleetError;
 pub use pool::SurfacePool;
 pub use population::NodeSpec;
 pub use report::{FleetReport, NodeOutcome, Percentiles};
-pub use run::{run_fleet_batched, Engine, FleetRunner};
+pub use run::{Engine, FleetRunner};
 pub use spec::{FleetSpec, Placement, PlacementMix, Tolerances};

@@ -1,7 +1,7 @@
 //! Order-independent fleet aggregation.
 //!
 //! A [`FleetReport`] is built by merging single-node reports. The merge
-//! is a plain concatenation in input order — [`eh_sim::SweepRunner::run_merged`]
+//! is a plain concatenation in input order — [`eh_sim::BatchRunner::run_shards`]
 //! guarantees shard reports are folded in shard index order — so the
 //! aggregate is bit-for-bit identical at any worker count, and every
 //! derived statistic (percentiles, counts, the worst-node drill-down)

@@ -2,78 +2,72 @@
 //!
 //! ```text
 //! FleetSpec ──FleetContext::prepare──▶ population + traces + pool
-//!     │                                        │
-//!     │              ┌─ per-node engine ───────┤ shards ──▶ SweepRunner
-//!     └─ Engine ─────┤                         │               │ fold
-//!                    └─ batch engine (SoA) ────┘               ▼
+//!                                              │ shards
+//!     TrackerKind, Engine ──▶ FleetContext::simulate_shard ──▶ BatchRunner
+//!                              ├─ per-node oracle                  │ fold
+//!                              └─ vectorized lane packs            ▼
 //!                       FleetReport ◀──merge in shard index order
 //! ```
 //!
-//! Each worker claims shards of nodes, simulates them against its
-//! placement's shared base trace (perturbed per node) and the shared
+//! Each worker claims a contiguous shard of nodes, simulates it against
+//! its placement's shared base trace (perturbed per node) and the shared
 //! warmed PV surface, and folds the single-node reports locally; the
 //! per-shard aggregates merge in shard index order. The result is
 //! bit-for-bit identical at any worker count.
 //!
-//! Three engines execute a shard: the per-node oracle (one boxed
-//! tracker and store per node, the reference semantics), the batch
-//! engine in [`crate::batch`] (struct-of-arrays lane state,
-//! devirtualized tracker/store, fused PV lookups), which produces
-//! bit-identical reports roughly an order of magnitude faster, and the
-//! wide-lane vectorized engine in [`crate::vectorized`], which trades
-//! bit-identity for a bounded-divergence contract and another large
-//! step-throughput multiple.
+//! Two engines execute a shard: the per-node oracle (one boxed tracker
+//! and store per node, the reference semantics) and the wide-lane
+//! vectorized engine in [`crate::vectorized`], which trades
+//! bit-identity for a bounded-divergence contract and roughly twice the
+//! oracle's step throughput on FOCV fleets.
 
 use eh_sim::{BatchRunner, SweepRunner};
 
-use crate::batch;
 use crate::compare::TrackerKind;
 use crate::context::FleetContext;
 use crate::error::FleetError;
 use crate::report::FleetReport;
 use crate::spec::FleetSpec;
-use crate::vectorized;
 
 /// Which shard-execution engine a fleet run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Engine {
     /// The reference engine: one boxed tracker, store and simulation
-    /// per node. Slow but maximally simple — the oracle the batch
+    /// per node. Slow but maximally simple — the oracle the vectorized
     /// engine is equivalence-tested against.
     PerNode,
-    /// The struct-of-arrays batch engine ([`crate::batch`]): whole
-    /// shards advance with devirtualized lane state and fused PV
-    /// lookups, bit-identical to [`Engine::PerNode`].
-    Batch,
     /// The wide-lane vectorized engine ([`crate::vectorized`]): lane
     /// packs step in lockstep with strength-reduced physics (incremental
     /// load phase, energy-domain supercap, cursored PV reads). Not
     /// bit-identical to the oracle — counts and classifications are
     /// exact, energies agree to rel 1e-9, and the engine is
     /// bit-identical to itself at any worker count and shard size.
+    /// Only FOCV on a `pv_cache` fleet has a wide lane; every other
+    /// run delegates to the per-node oracle and stays bit-identical.
     Vectorized,
 }
 
 impl Engine {
     /// Every engine, reference first.
-    pub const ALL: [Engine; 3] = [Engine::PerNode, Engine::Batch, Engine::Vectorized];
+    pub const ALL: [Engine; 2] = [Engine::PerNode, Engine::Vectorized];
 
     /// Stable label for reports and CLI flags.
     pub fn label(self) -> &'static str {
         match self {
             Engine::PerNode => "per-node",
-            Engine::Batch => "batch",
             Engine::Vectorized => "vectorized",
         }
     }
 
-    /// Parses a CLI/env spelling (`per-node`, `per_node`, `batch`,
-    /// `vectorized`, ...).
+    /// Parses a CLI/env spelling (`per-node`, `per_node`, `vectorized`,
+    /// ...). `batch`/`batched` name the retired batch engine, which was
+    /// bit-identical to the oracle, so they parse as
+    /// [`Engine::PerNode`].
     pub fn parse(s: &str) -> Option<Engine> {
         match s.trim().to_ascii_lowercase().as_str() {
             "per-node" | "per_node" | "pernode" | "node" | "oracle" => Some(Engine::PerNode),
-            "batch" | "batched" => Some(Engine::Batch),
+            "batch" | "batched" => Some(Engine::PerNode),
             "vectorized" | "vector" | "wide" | "lanes" => Some(Engine::Vectorized),
             _ => None,
         }
@@ -86,11 +80,11 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// Runs fleets: a [`SweepRunner`] plus a shard size.
+/// Runs fleets: a [`SweepRunner`] worker pool plus a shard size.
 ///
 /// The shard size trades scheduling overhead against load balance; it
 /// never affects the per-node outcomes (see
-/// [`eh_sim::SweepRunner::run_merged`]'s order contract).
+/// [`eh_sim::BatchRunner::run_shards`]'s order contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRunner {
     runner: SweepRunner,
@@ -134,221 +128,43 @@ impl FleetRunner {
         self.shard_size
     }
 
-    /// Runs the fleet with each node's own FOCV tracker (the paper's
-    /// technique, jittered per unit).
+    /// Runs `spec` under `kind` through `engine`, preparing the shared
+    /// inputs first — the convenience spelling of
+    /// [`FleetRunner::run_engine_prepared`].
     ///
     /// # Errors
     ///
     /// Propagates spec validation and simulation errors; on multiple
     /// node failures the first in fleet order is returned.
-    pub fn run(&self, spec: &FleetSpec) -> Result<FleetReport, FleetError> {
-        self.run_tracker(spec, TrackerKind::Focv)
-    }
-
-    /// Runs the same seeded population under an arbitrary tracker kind
-    /// — the building block of
-    /// [`compare_trackers_over_fleet`](crate::compare_trackers_over_fleet).
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker(
-        &self,
-        spec: &FleetSpec,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let ctx = FleetContext::prepare(spec)?;
-        self.run_tracker_prepared(&ctx, kind)
-    }
-
-    /// [`FleetRunner::run`] against an already-prepared context,
-    /// skipping the per-run setup (population, traces, surface warm).
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_prepared(&self, ctx: &FleetContext) -> Result<FleetReport, FleetError> {
-        self.run_tracker_prepared(ctx, TrackerKind::Focv)
-    }
-
-    /// [`FleetRunner::run_tracker`] against an already-prepared context.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker_prepared(
-        &self,
-        ctx: &FleetContext,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let population = ctx.population().to_vec();
-        let simulate =
-            |_idx: usize, node: crate::population::NodeSpec| ctx.simulate_node(kind, node);
-        let report = merged_or_empty(self.runner.run_merged(
-            population,
-            self.shard_size,
-            simulate,
-        )?)?;
-        Ok(Self::stamp_fleet_counters(report))
-    }
-
-    /// Runs the fleet through the batch engine (FOCV tracker).
-    ///
-    /// Bit-identical to [`FleetRunner::run`]: same outcomes in the same
-    /// order at any worker count, and the same merged metrics at equal
-    /// shard size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_batched(&self, spec: &FleetSpec) -> Result<FleetReport, FleetError> {
-        self.run_tracker_batched(spec, TrackerKind::Focv)
-    }
-
-    /// Runs an arbitrary tracker kind through the batch engine.
-    ///
-    /// Only [`TrackerKind::Focv`] has a dedicated fast lane; other
-    /// kinds fall back to the per-node oracle inside each shard (still
-    /// bit-identical, not faster).
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker_batched(
-        &self,
-        spec: &FleetSpec,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let ctx = FleetContext::prepare(spec)?;
-        self.run_tracker_batched_prepared(&ctx, kind)
-    }
-
-    /// [`FleetRunner::run_batched`] against an already-prepared context.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_batched_prepared(&self, ctx: &FleetContext) -> Result<FleetReport, FleetError> {
-        self.run_tracker_batched_prepared(ctx, TrackerKind::Focv)
-    }
-
-    /// [`FleetRunner::run_tracker_batched`] against an
-    /// already-prepared context.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker_batched_prepared(
-        &self,
-        ctx: &FleetContext,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let batch_runner = BatchRunner::from_runner(self.runner, self.shard_size)?;
-        let population = ctx.population().to_vec();
-        let report = merged_or_empty(batch_runner.run_shards(population, |_idx, nodes| {
-            batch::simulate_shard(ctx, kind, nodes)
-        }))?;
-        Ok(Self::stamp_fleet_counters(report))
-    }
-
-    /// Runs the fleet through the vectorized engine (FOCV tracker).
-    ///
-    /// Holds the bounded-divergence contract against [`FleetRunner::run`]
-    /// (see [`Engine::Vectorized`]) rather than bit-identity.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_vectorized(&self, spec: &FleetSpec) -> Result<FleetReport, FleetError> {
-        self.run_tracker_vectorized(spec, TrackerKind::Focv)
-    }
-
-    /// Runs an arbitrary tracker kind through the vectorized engine.
-    ///
-    /// Only [`TrackerKind::Focv`] on a `pv_cache` fleet has a wide
-    /// lane; everything else delegates to the batch engine and stays
-    /// bit-identical to the oracle.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker_vectorized(
-        &self,
-        spec: &FleetSpec,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let ctx = FleetContext::prepare(spec)?;
-        self.run_tracker_vectorized_prepared(&ctx, kind)
-    }
-
-    /// [`FleetRunner::run_vectorized`] against an already-prepared
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_vectorized_prepared(&self, ctx: &FleetContext) -> Result<FleetReport, FleetError> {
-        self.run_tracker_vectorized_prepared(ctx, TrackerKind::Focv)
-    }
-
-    /// [`FleetRunner::run_tracker_vectorized`] against an
-    /// already-prepared context.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
-    pub fn run_tracker_vectorized_prepared(
-        &self,
-        ctx: &FleetContext,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
-        let batch_runner = BatchRunner::from_runner(self.runner, self.shard_size)?;
-        let population = ctx.population().to_vec();
-        let report = merged_or_empty(batch_runner.run_shards(population, |_idx, nodes| {
-            vectorized::simulate_shard(ctx, kind, nodes)
-        }))?;
-        Ok(Self::stamp_fleet_counters(report))
-    }
-
-    /// Dispatches to [`FleetRunner::run_tracker`],
-    /// [`FleetRunner::run_tracker_batched`] or
-    /// [`FleetRunner::run_tracker_vectorized`] by `engine`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetRunner::run`].
     pub fn run_engine(
         &self,
         spec: &FleetSpec,
         kind: TrackerKind,
         engine: Engine,
     ) -> Result<FleetReport, FleetError> {
-        let ctx = FleetContext::prepare(spec)?;
-        self.run_engine_prepared(&ctx, kind, engine)
+        self.run_engine_prepared(&FleetContext::prepare(spec)?, kind, engine)
     }
 
-    /// [`FleetRunner::run_engine`] against an already-prepared context.
+    /// Runs the prepared fleet under `kind` through `engine`: every
+    /// shard goes through [`FleetContext::simulate_shard`], and the
+    /// shard reports fold in shard index order.
     ///
     /// # Errors
     ///
-    /// As [`FleetRunner::run`].
+    /// As [`FleetRunner::run_engine`].
     pub fn run_engine_prepared(
         &self,
         ctx: &FleetContext,
         kind: TrackerKind,
         engine: Engine,
     ) -> Result<FleetReport, FleetError> {
-        match engine {
-            Engine::PerNode => self.run_tracker_prepared(ctx, kind),
-            Engine::Batch => self.run_tracker_batched_prepared(ctx, kind),
-            Engine::Vectorized => self.run_tracker_vectorized_prepared(ctx, kind),
-        }
-    }
-
-    /// Fleet-scope counters are folded after the merge so they are
-    /// recorded exactly once regardless of sharding or engine.
-    fn stamp_fleet_counters(report: FleetReport) -> FleetReport {
-        report.with_fleet_counters()
+        let runner = BatchRunner::from_runner(self.runner, self.shard_size)?;
+        let report = merged_or_empty(runner.run_shards(ctx.population().to_vec(), |_, nodes| {
+            ctx.simulate_shard(kind, engine, nodes)
+        }))?;
+        // Fleet-scope counters are folded after the merge so they are
+        // recorded exactly once regardless of sharding or engine.
+        Ok(report.with_fleet_counters())
     }
 }
 
@@ -357,19 +173,6 @@ impl FleetRunner {
 /// yielding one) is an [`FleetError::EmptyFleet`], not a panic.
 pub(crate) fn merged_or_empty<T>(merged: Option<Result<T, FleetError>>) -> Result<T, FleetError> {
     merged.ok_or(FleetError::EmptyFleet)?
-}
-
-/// Runs `spec` through the batch engine — the free-function spelling of
-/// [`FleetRunner::run_batched`].
-///
-/// # Errors
-///
-/// As [`FleetRunner::run`].
-pub fn run_fleet_batched(
-    spec: &FleetSpec,
-    runner: &FleetRunner,
-) -> Result<FleetReport, FleetError> {
-    runner.run_batched(spec)
 }
 
 #[cfg(test)]
@@ -387,9 +190,16 @@ mod tests {
         spec
     }
 
+    /// The FOCV fleet on the per-node oracle.
+    fn run(runner: FleetRunner, spec: &FleetSpec) -> FleetReport {
+        runner
+            .run_engine(spec, TrackerKind::Focv, Engine::PerNode)
+            .unwrap()
+    }
+
     #[test]
     fn fleet_runs_and_aggregates_every_node() {
-        let report = FleetRunner::new(2).run(&small_spec()).unwrap();
+        let report = run(FleetRunner::new(2), &small_spec());
         assert_eq!(report.nodes(), 24);
         assert!(report.net_energy_percentiles().is_some());
         assert!(report.worst_node().is_some());
@@ -413,7 +223,7 @@ mod tests {
 
     #[test]
     fn heterogeneity_spreads_the_outcomes() {
-        let report = FleetRunner::new(1).run(&small_spec()).unwrap();
+        let report = run(FleetRunner::new(1), &small_spec());
         let p = report
             .net_energy_percentiles()
             .expect("non-empty fleet has percentiles");
@@ -428,7 +238,7 @@ mod tests {
         let mut spec = small_spec();
         spec.tolerances = Tolerances::none();
         spec.placements = crate::PlacementMix::new(0.0, 1.0, 0.0).unwrap();
-        let report = FleetRunner::new(2).run(&spec).unwrap();
+        let report = run(FleetRunner::new(2), &spec);
         let p = report
             .net_energy_percentiles()
             .expect("non-empty fleet has percentiles");
@@ -446,8 +256,8 @@ mod tests {
     fn obs_fleet_metrics_merge_worker_invariant_and_conserve() {
         let mut spec = small_spec();
         spec.obs = true;
-        let one = FleetRunner::new(1).run(&spec).unwrap();
-        let two = FleetRunner::new(2).run(&spec).unwrap();
+        let one = run(FleetRunner::new(1), &spec);
+        let two = run(FleetRunner::new(2), &spec);
         let m = one
             .metrics
             .as_ref()
@@ -492,8 +302,10 @@ mod tests {
     fn oracle_fleet_dominates_focv_fleet() {
         let spec = small_spec();
         let runner = FleetRunner::new(2);
-        let focv = runner.run(&spec).unwrap();
-        let oracle = runner.run_tracker(&spec, TrackerKind::Oracle).unwrap();
+        let focv = run(runner, &spec);
+        let oracle = runner
+            .run_engine(&spec, TrackerKind::Oracle, Engine::PerNode)
+            .unwrap();
         let net = |r: &FleetReport| {
             r.net_energy_percentiles()
                 .expect("non-empty fleet has percentiles")
@@ -503,60 +315,40 @@ mod tests {
     }
 
     #[test]
-    fn batch_engine_matches_per_node_engine_on_the_small_fleet() {
-        let spec = small_spec();
-        let runner = FleetRunner::new(2);
-        let per_node = runner.run(&spec).unwrap();
-        let batched = runner.run_batched(&spec).unwrap();
-        assert_eq!(per_node, batched);
-        assert_eq!(
-            run_fleet_batched(&spec, &runner).unwrap(),
-            batched,
-            "free function must match the method spelling"
-        );
-    }
-
-    #[test]
     fn prepared_runs_match_unprepared_runs() {
         let spec = small_spec();
         let runner = FleetRunner::new(1);
         let ctx = FleetContext::prepare(&spec).unwrap();
-        assert_eq!(
-            runner.run_prepared(&ctx).unwrap(),
-            runner.run(&spec).unwrap()
-        );
-        assert_eq!(
-            runner.run_batched_prepared(&ctx).unwrap(),
-            runner.run_batched(&spec).unwrap()
-        );
+        for engine in Engine::ALL {
+            assert_eq!(
+                runner
+                    .run_engine_prepared(&ctx, TrackerKind::Focv, engine)
+                    .unwrap(),
+                runner.run_engine(&spec, TrackerKind::Focv, engine).unwrap(),
+                "{engine}"
+            );
+        }
     }
 
     #[test]
     fn engine_labels_parse_and_dispatch() {
-        assert_eq!(Engine::parse("batch"), Some(Engine::Batch));
         assert_eq!(Engine::parse("per-node"), Some(Engine::PerNode));
         assert_eq!(Engine::parse("PER_NODE"), Some(Engine::PerNode));
         assert_eq!(Engine::parse("warp"), None);
         assert_eq!(Engine::parse("vectorized"), Some(Engine::Vectorized));
+        // The retired batch engine was bit-identical to the oracle, so
+        // its spellings keep meaning exactly that.
+        assert_eq!(Engine::parse("batch"), Some(Engine::PerNode));
+        assert_eq!(Engine::parse("Batched"), Some(Engine::PerNode));
         for engine in Engine::ALL {
             assert_eq!(Engine::parse(engine.label()), Some(engine));
             assert_eq!(engine.to_string(), engine.label());
         }
-        let spec = small_spec();
-        let runner = FleetRunner::new(1);
-        assert_eq!(
-            runner
-                .run_engine(&spec, TrackerKind::Focv, Engine::Batch)
-                .unwrap(),
-            runner
-                .run_engine(&spec, TrackerKind::Focv, Engine::PerNode)
-                .unwrap()
-        );
         // The vectorized engine is not bit-identical (bounded-divergence
         // contract, pinned by the vectorized_equivalence suite), but it
         // must dispatch and cover the same fleet.
-        let vectorized = runner
-            .run_engine(&spec, TrackerKind::Focv, Engine::Vectorized)
+        let vectorized = FleetRunner::new(1)
+            .run_engine(&small_spec(), TrackerKind::Focv, Engine::Vectorized)
             .unwrap();
         assert_eq!(vectorized.nodes(), 24);
     }

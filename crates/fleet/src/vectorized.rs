@@ -1,12 +1,13 @@
 //! The wide-lane vectorized fleet engine.
 //!
-//! [`crate::batch`] removed the `dyn` seams; this engine removes the
-//! per-step *transcendentals*. Nodes advance in struct-of-arrays lane
-//! packs of fixed width [`LANES`] — plain arrays of `f64`/`u64` state
-//! walked in lockstep inner loops the compiler can unroll and
-//! autovectorize (the workspace stays `forbid(unsafe_code)`; there are
-//! no intrinsics here) — with three strength reductions over the batch
-//! stepper's per-step cost:
+//! The per-node oracle drives one boxed tracker and store per node
+//! through `dyn` seams; this engine devirtualizes the FOCV tracker and
+//! the store into flat lane state and removes the per-step
+//! *transcendentals*. Nodes advance in struct-of-arrays lane packs of
+//! fixed width [`LANES`] — plain arrays of `f64`/`u64` state walked in
+//! lockstep inner loops the compiler can unroll and autovectorize (the
+//! workspace stays `forbid(unsafe_code)`; there are no intrinsics here)
+//! — with three strength reductions over the oracle's per-step cost:
 //!
 //! 1. **Load walk**: per-step demand comes from a prefix-sum
 //!    [`LoadEnergyProfile`] — whole cycles by multiplication plus two
@@ -22,12 +23,11 @@
 //!
 //! # The bounded-divergence contract
 //!
-//! Unlike the batch engine, the vectorized engine is **not** bit-
-//! identical to the per-node oracle — the cursor's series expansion,
-//! the energy-domain store, and the prefix-sum load profile reassociate
-//! a handful of float operations.
-//! What it guarantees instead (enforced by the `vectorized_equivalence`
-//! suite; see `DESIGN.md` §14):
+//! The vectorized engine is **not** bit-identical to the per-node
+//! oracle — the cursor's series expansion, the energy-domain store, and
+//! the prefix-sum load profile reassociate a handful of float
+//! operations. What it guarantees instead (enforced by the `vectorized_equivalence`
+//! suite; see `DESIGN.md` §10):
 //!
 //! - **Counts and classifications are exact.** The engine replicates
 //!   [`eh_sim::drive`]'s time arithmetic operation for operation, and
@@ -41,9 +41,13 @@
 //!   shard size: lanes never exchange data, so pack membership cannot
 //!   influence a lane's trajectory.
 //!
-//! Trackers without a vectorized transcription (and fleets with
-//! `pv_cache: false`, whose exact-solver reads have no cursor to reuse)
-//! delegate to [`crate::batch`], keeping the oracle's bit-identity.
+//! Only [`TrackerKind::Focv`] on a `pv_cache` fleet has a wide lane.
+//! Other trackers, and fleets with `pv_cache: false` (whose exact-solver
+//! reads have no cursor to reuse), never reach this module:
+//! [`FleetContext::simulate_shard`] hands them to the per-node fold,
+//! keeping the oracle's bit-identity.
+//!
+//! [`TrackerKind::Focv`]: crate::TrackerKind::Focv
 
 use eh_converter::InputRegulatedConverter;
 use eh_core::baselines::{FocvDecision, FocvKernel, FocvLane};
@@ -57,41 +61,26 @@ use eh_pv::{CachedPvSurface, LuxCursor};
 use eh_sim::{Accumulator, Mergeable, SimError};
 use eh_units::{Amps, Joules, Lux, Seconds, Volts};
 
-use crate::batch::{self, LaneBuild};
-use crate::compare::TrackerKind;
 use crate::context::FleetContext;
 use crate::error::FleetError;
 use crate::population::NodeSpec;
 use crate::report::{FleetReport, NodeOutcome};
 use crate::run::merged_or_empty;
+use crate::spec::{FleetSpec, Placement};
 
 /// Lanes per pack. Eight f64 lanes fill one AVX-512 register or two
 /// AVX2 registers, and a pack's hot state (~1 KiB) sits comfortably in
 /// L1 alongside the shared PV surface rows.
 pub(crate) const LANES: usize = 8;
 
-/// Simulates one shard of nodes through the wide-lane engine and folds
-/// their reports in fleet order — the vectorized counterpart of
-/// [`crate::batch::simulate_shard`].
+/// Simulates one shard of FOCV nodes through the wide lanes and folds
+/// their reports in fleet order. The caller,
+/// [`FleetContext::simulate_shard`], routes only FOCV on a `pv_cache`
+/// fleet here.
+///
+/// Staging: lane builds, batched cold start, placement-grouped packs
+/// stepped in lockstep, fleet-order fold.
 pub(crate) fn simulate_shard(
-    ctx: &FleetContext,
-    kind: TrackerKind,
-    nodes: Vec<NodeSpec>,
-) -> Result<FleetReport, FleetError> {
-    if kind != TrackerKind::Focv || !ctx.spec().pv_cache {
-        // No vectorized transcription: fall through to the batch engine
-        // (which itself falls back to the per-node oracle for non-FOCV
-        // kinds), preserving bit-identity where no contract relaxation
-        // was bought.
-        return batch::simulate_shard(ctx, kind, nodes);
-    }
-    simulate_shard_focv(ctx, nodes)
-}
-
-/// The FOCV wide lane: identical staging to the batch engine (lane
-/// builds, batched cold start, placement-grouped sweep, fleet-order
-/// fold), but stage 3 steps packs of [`LANES`] lanes in lockstep.
-fn simulate_shard_focv(
     ctx: &FleetContext,
     nodes: Vec<NodeSpec>,
 ) -> Result<FleetReport, FleetError> {
@@ -110,12 +99,14 @@ fn simulate_shard_focv(
         let trace = node.perturbation.apply(ctx.base_trace(node.placement));
         peaks.push(Lux::new(trace.max()));
         traces.push(trace);
-        builds.push(Some(batch::build_lane(spec, node)));
+        builds.push(Some(build_lane(spec, node)));
     }
 
-    // Stage 2 — batched cold-start feasibility, shared with the batch
-    // engine (bit-identical to the per-node screening).
-    let cold = batch::cold_start_lanes(ctx, &nodes, &peaks);
+    // Stage 2 — batched cold-start feasibility (same math and call
+    // sequence as the per-node engine: Voc at the node's own peak must
+    // clear the supervisor knee, and the current at the knee must
+    // out-supply the supervisor's quiescent draw).
+    let cold = cold_start_lanes(ctx, &nodes, &peaks);
 
     // Stage 3 — pack consecutive same-placement lanes and step them in
     // lockstep. Results land back in their fleet-order slots; pack
@@ -137,9 +128,9 @@ fn simulate_shard_focv(
         for chunk in order[at..end].chunks(LANES) {
             match cell.cached() {
                 Err(e) => {
-                    // Same error precedence as the batch engine: a lane
-                    // that failed to build reports its own error before
-                    // the shared surface's.
+                    // Same error precedence as the per-node engine: a
+                    // lane that failed to build reports its own error
+                    // before the shared surface's.
                     for &i in chunk {
                         let build = builds[i].take().expect("each lane is built exactly once");
                         sims[i] = Some(match build {
@@ -168,7 +159,7 @@ fn simulate_shard_focv(
     }
 
     // Fold in fleet order with the same `Mergeable` semantics as the
-    // other engines: per node, cold start before simulation; across
+    // per-node engine: per node, cold start before simulation; across
     // nodes, the first error in fleet order wins.
     let mut merged: Option<Result<FleetReport, FleetError>> = None;
     for (i, node) in nodes.iter().enumerate() {
@@ -192,6 +183,95 @@ fn simulate_shard_focv(
         }
     }
     merged_or_empty(merged)
+}
+
+/// Per-lane constant state built from one [`NodeSpec`]: the
+/// devirtualized tracker (kernel + initial lane), the concrete store,
+/// and the tracker's report name.
+type LaneBuild = (FocvKernel, FocvLane, ConcreteStore, String);
+
+/// Builds one lane, replicating the per-node engine's error precedence:
+/// tracker construction, then store construction, then the
+/// `measurement_dwell` validation [`eh_node::NodeSimulation::new`]
+/// performs.
+fn build_lane(spec: &FleetSpec, node: &NodeSpec) -> Result<LaneBuild, FleetError> {
+    let tracker = node.tracker()?;
+    let store = node.store.unwrap_or(spec.store).build_concrete()?;
+    let dwell = node.pulse_width;
+    if !(dwell.value().is_finite() && dwell.value() > 0.0) {
+        return Err(NodeError::InvalidParameter {
+            name: "measurement_dwell",
+            value: dwell.value(),
+        }
+        .into());
+    }
+    let name = eh_core::MpptController::name(&tracker).to_owned();
+    Ok((tracker.kernel(), tracker.lane(), store, name))
+}
+
+/// Per-lane cold-start feasibility, batched.
+///
+/// Voc screening stays scalar (one lookup per lane); the follow-up
+/// supervisor-current evaluations of all Voc-passing lanes are swept in
+/// one [`CachedPvSurface::eval_many`] call per placement group. On an
+/// `eval_many` error the group falls back to scalar evaluation so the
+/// failure is attributed to the lane that caused it, exactly as the
+/// per-node engine would.
+fn cold_start_lanes(
+    ctx: &FleetContext,
+    nodes: &[NodeSpec],
+    peaks: &[Lux],
+) -> Vec<Result<bool, FleetError>> {
+    let knee = ctx.knee();
+    let quiescent = ctx.cold().supervisor_current();
+    let mut cold: Vec<Result<bool, FleetError>> = nodes
+        .iter()
+        .zip(peaks)
+        .map(|(node, &peak)| {
+            let cell = ctx.cell(node.placement);
+            cell.open_circuit_voltage(peak)
+                .map(|voc| voc > knee)
+                .map_err(FleetError::from)
+        })
+        .collect();
+
+    for p in Placement::ALL {
+        let candidates: Vec<usize> = (0..nodes.len())
+            .filter(|&i| nodes[i].placement == p && matches!(cold[i], Ok(true)))
+            .collect();
+        if candidates.is_empty() {
+            continue;
+        }
+        let cell = ctx.cell(p);
+        let swept = cell.cached().ok().and_then(|surface| {
+            let mut v_lux = Vec::with_capacity(candidates.len() * 2);
+            for &i in &candidates {
+                v_lux.push(knee.value());
+                v_lux.push(peaks[i].value());
+            }
+            let mut out = vec![0.0; candidates.len()];
+            surface.eval_many(&v_lux, &mut out).ok()?;
+            Some(out)
+        });
+        match swept {
+            Some(out) => {
+                for (j, &i) in candidates.iter().enumerate() {
+                    cold[i] = Ok(Amps::new(out[j]) > quiescent);
+                }
+            }
+            // Scalar path: the batched sweep failed and each lane
+            // re-evaluates to own its error.
+            None => {
+                for &i in &candidates {
+                    cold[i] = cell
+                        .current_at(knee, peaks[i])
+                        .map(|amps| amps > quiescent)
+                        .map_err(FleetError::from);
+                }
+            }
+        }
+    }
+    cold
 }
 
 /// A lane's energy store with the supercapacitor case strength-reduced
@@ -522,9 +602,10 @@ fn run_pack(
     }
 }
 
-/// Assembles one lane's [`NodeReport`] exactly as the batch stepper's
-/// `run` epilogue does, including [`eh_sim::drive`]'s loop-statistic
-/// recording that the lockstep loop accumulated in locals.
+/// Assembles one lane's [`NodeReport`] exactly as
+/// [`eh_node::NodeSimulation::run`]'s epilogue does, including
+/// [`eh_sim::drive`]'s loop-statistic recording that the lockstep loop
+/// accumulated in locals.
 #[allow(clippy::too_many_arguments)]
 fn finalize_lane(
     name: String,

@@ -4,7 +4,7 @@
 
 use eh_core::baselines::FocvSampleHold;
 use eh_core::MpptController;
-use eh_fleet::{FleetRunner, FleetSpec, Placement, Tolerances};
+use eh_fleet::{Engine, FleetRunner, FleetSpec, Placement, Tolerances, TrackerKind};
 use eh_units::Seconds;
 use proptest::prelude::*;
 
@@ -99,11 +99,11 @@ proptest! {
         spec.obs = true;
         let reference = FleetRunner::new(1)
             .with_shard_size(shard)
-            .run(&spec)
+            .run_engine(&spec, TrackerKind::Focv, Engine::PerNode)
             .expect("single-worker run");
         let parallel = FleetRunner::new(workers)
             .with_shard_size(shard)
-            .run(&spec)
+            .run_engine(&spec, TrackerKind::Focv, Engine::PerNode)
             .expect("multi-worker run");
         prop_assert!(reference.metrics.is_some(), "obs run must carry metrics");
         prop_assert_eq!(reference.metrics, parallel.metrics);

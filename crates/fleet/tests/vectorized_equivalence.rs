@@ -4,7 +4,7 @@
 //! oracle — its strength reductions (cursored PV reads, energy-domain
 //! supercap, prefix-sum load profile) reassociate a handful of float
 //! operations. These tests pin the contract it holds instead
-//! (`DESIGN.md` §14):
+//! (`DESIGN.md` §10):
 //!
 //! 1. Pulse/measurement/decision counts and outcome classifications
 //!    (brown-out, cold-start failure, net-negative) are **exactly**
@@ -13,21 +13,37 @@
 //! 3. The engine is **bit-identical to itself** across seeds × worker
 //!    counts {1, 2, 4} × shard sizes {1, 32, 257}.
 //! 4. Everything without a wide lane (other trackers, `pv_cache:
-//!    false`) delegates to the batch engine and stays bit-identical.
+//!    false`) delegates to the per-node oracle and stays bit-identical
+//!    to it, across the same seed × worker × shard matrix.
 
 use eh_fleet::{
-    compare_trackers_over_fleet_with, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
+    compare_trackers_over_fleet, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
     TrackerKind,
 };
 use eh_units::Seconds;
 
 /// A fast, fully heterogeneous spec: every placement, 10-minute light
-/// grid, 10-minute step — the `batch_equivalence` reference scenario.
+/// grid, 10-minute step.
 fn spec(nodes: u32, seed: u64) -> FleetSpec {
     let mut spec = FleetSpec::mixed_indoor_outdoor(nodes, seed).unwrap();
     spec.trace_decimate = 600;
     spec.dt = Seconds::new(600.0);
     spec
+}
+
+/// Runs `kind` over the prepared fleet through `engine`.
+fn run(runner: FleetRunner, ctx: &FleetContext, kind: TrackerKind, engine: Engine) -> FleetReport {
+    runner.run_engine_prepared(ctx, kind, engine).unwrap()
+}
+
+/// FOCV on the per-node oracle.
+fn oracle(runner: FleetRunner, ctx: &FleetContext) -> FleetReport {
+    run(runner, ctx, TrackerKind::Focv, Engine::PerNode)
+}
+
+/// FOCV on the vectorized engine.
+fn vectorized(runner: FleetRunner, ctx: &FleetContext) -> FleetReport {
+    run(runner, ctx, TrackerKind::Focv, Engine::Vectorized)
 }
 
 /// Relative disagreement with an absolute floor well below any energy
@@ -149,9 +165,9 @@ fn vectorized_holds_the_contract_against_the_oracle_across_seeds() {
     for seed in [2011_u64, 7, 404] {
         let spec = spec(24, seed);
         let ctx = FleetContext::prepare(&spec).unwrap();
-        let reference = FleetRunner::new(1).run_prepared(&ctx).unwrap();
-        let vectorized = FleetRunner::new(2).run_vectorized_prepared(&ctx).unwrap();
-        assert_contract(&reference, &vectorized, &format!("seed {seed}"));
+        let reference = oracle(FleetRunner::new(1), &ctx);
+        let candidate = vectorized(FleetRunner::new(2), &ctx);
+        assert_contract(&reference, &candidate, &format!("seed {seed}"));
     }
 }
 
@@ -160,11 +176,11 @@ fn vectorized_is_bit_identical_to_itself_across_workers_and_shards() {
     for seed in [2011_u64, 7, 404] {
         let spec = spec(24, seed);
         let ctx = FleetContext::prepare(&spec).unwrap();
-        let reference = FleetRunner::new(1).run_vectorized_prepared(&ctx).unwrap();
+        let reference = vectorized(FleetRunner::new(1), &ctx);
         for workers in [1_usize, 2, 4] {
             for shard_size in [1_usize, 32, 257] {
                 let runner = FleetRunner::new(workers).with_shard_size(shard_size);
-                let candidate = runner.run_vectorized_prepared(&ctx).unwrap();
+                let candidate = vectorized(runner, &ctx);
                 assert_eq!(
                     reference, candidate,
                     "seed {seed}: vectorized run diverged from itself at \
@@ -176,78 +192,120 @@ fn vectorized_is_bit_identical_to_itself_across_workers_and_shards() {
 }
 
 #[test]
-fn vectorized_obs_counters_match_the_oracle_and_are_worker_invariant() {
+fn obs_metric_stores_hold_the_contract_at_every_shard_size() {
     let mut spec = spec(24, 2011);
     spec.obs = true;
     let ctx = FleetContext::prepare(&spec).unwrap();
-    let runner = FleetRunner::new(2).with_shard_size(8);
-    let per_node = runner.run_prepared(&ctx).unwrap();
-    let vectorized = runner.run_vectorized_prepared(&ctx).unwrap();
-    assert_contract(&per_node, &vectorized, "obs fleet");
-    let a = per_node.metrics.as_ref().expect("obs run carries metrics");
-    let b = vectorized
-        .metrics
-        .as_ref()
-        .expect("obs run carries metrics");
-    // Counter sums are integers, so the exact-count clause extends to
-    // the merged metric store verbatim.
-    for name in [
-        "engine.steps",
-        "engine.dwell_steps",
-        "node.measurements",
-        "tracker.decisions",
-        "tracker.ops",
-        "converter.transfer_steps",
-        "fleet.nodes",
-    ] {
+    // The fleet-level metric fold groups per-shard partial sums, so the
+    // merged floats are comparable across runs only at equal shard size
+    // (the outcomes themselves are shard-size-invariant either way).
+    for shard_size in [1_usize, 8, 32] {
+        let runner = FleetRunner::new(2).with_shard_size(shard_size);
+        let per_node = oracle(runner, &ctx);
+        let candidate = vectorized(runner, &ctx);
+        let what = format!("obs fleet, shard {shard_size}");
+        assert_contract(&per_node, &candidate, &what);
+        let a = per_node.metrics.as_ref().expect("obs run carries metrics");
+        let b = candidate.metrics.as_ref().expect("obs run carries metrics");
+        // Counter sums are integers, so the exact-count clause extends
+        // to the merged metric store verbatim.
+        for name in [
+            "engine.steps",
+            "engine.dwell_steps",
+            "node.measurements",
+            "tracker.decisions",
+            "tracker.ops",
+            "converter.transfer_steps",
+            "fleet.nodes",
+        ] {
+            assert_eq!(
+                a.counter(name),
+                b.counter(name),
+                "{what}: fleet counter {name} diverged"
+            );
+        }
+        // Span counts are exact too; their accumulated times are
+        // energies of the same bounded-divergence class as the rest.
+        for name in [
+            "engine.drive",
+            "engine.dwell",
+            "node.harvesting",
+            "node.measuring",
+        ] {
+            let sa = a.span_stats(name).expect("oracle records span");
+            let sb = b.span_stats(name).expect("vectorized records span");
+            assert_eq!(sa.count, sb.count, "{what}: span {name} count diverged");
+            assert!(
+                rel_err(sa.sim_time().value(), sb.sim_time().value()) <= NET_ENERGY_REL,
+                "{what}: span {name} time diverged"
+            );
+        }
+        // Both engines' merged stores are worker-invariant at equal
+        // shard size.
+        let one = FleetRunner::new(1).with_shard_size(shard_size);
+        let four = FleetRunner::new(4).with_shard_size(shard_size);
+        assert_eq!(oracle(one, &ctx), oracle(four, &ctx), "{what}: per-node");
+        assert_eq!(candidate, vectorized(one, &ctx), "{what}: vectorized");
+        // A tracker without a wide lane carries the oracle's store bit
+        // for bit.
+        let kind = TrackerKind::VariableHoldFocv;
+        let delegated = run(runner, &ctx, kind, Engine::Vectorized);
         assert_eq!(
-            a.counter(name),
-            b.counter(name),
-            "fleet counter {name} diverged"
+            run(runner, &ctx, kind, Engine::PerNode),
+            delegated,
+            "{what}: delegated obs store"
         );
+        assert!(delegated.metrics.is_some(), "obs run must carry metrics");
     }
-    // Span counts are exact too; their accumulated times are energies
-    // of the same bounded-divergence class as the rest.
-    for name in [
-        "engine.drive",
-        "engine.dwell",
-        "node.harvesting",
-        "node.measuring",
-    ] {
-        let sa = a.span_stats(name).expect("oracle records span");
-        let sb = b.span_stats(name).expect("vectorized records span");
-        assert_eq!(sa.count, sb.count, "span {name} count diverged");
-        assert!(
-            rel_err(sa.sim_time().value(), sb.sim_time().value()) <= NET_ENERGY_REL,
-            "span {name} time diverged"
-        );
-    }
-    // And the vectorized engine's merged store is worker-invariant at
-    // equal shard size.
-    let one = FleetRunner::new(1)
-        .with_shard_size(8)
-        .run_vectorized_prepared(&ctx)
-        .unwrap();
-    assert_eq!(one, vectorized, "vectorized obs run depends on workers");
 }
 
 #[test]
-fn trackers_without_a_wide_lane_stay_bit_identical() {
+fn every_tracker_kind_holds_its_contract() {
     let spec = spec(8, 99);
     let ctx = FleetContext::prepare(&spec).unwrap();
     let runner = FleetRunner::new(2).with_shard_size(3);
     for &kind in &TrackerKind::ALL {
+        let per_node = run(runner, &ctx, kind, Engine::PerNode);
+        let candidate = run(runner, &ctx, kind, Engine::Vectorized);
         if kind == TrackerKind::Focv {
-            continue;
+            assert_contract(&per_node, &candidate, kind.label());
+        } else {
+            assert_eq!(
+                per_node,
+                candidate,
+                "{}: delegation lane must stay bit-identical",
+                kind.label()
+            );
         }
-        let per_node = runner.run_tracker_prepared(&ctx, kind).unwrap();
-        let vectorized = runner.run_tracker_vectorized_prepared(&ctx, kind).unwrap();
-        assert_eq!(
-            per_node,
-            vectorized,
-            "{}: delegation lane must stay bit-identical",
-            kind.label()
-        );
+    }
+}
+
+#[test]
+fn adaptive_trackers_delegate_bit_identically_across_seeds_workers_and_shards() {
+    // The three adaptive trackers have no wide lane; the vectorized
+    // engine hands them to the per-node fold, which must reproduce the
+    // single-worker oracle across the full seed × worker × shard matrix.
+    let kinds = [
+        TrackerKind::VariableHoldFocv,
+        TrackerKind::AdaptiveKFocv,
+        TrackerKind::GradientDescent,
+    ];
+    for seed in [2011_u64, 7, 404] {
+        let ctx = FleetContext::prepare(&spec(12, seed)).unwrap();
+        for &kind in &kinds {
+            let reference = run(FleetRunner::new(1), &ctx, kind, Engine::PerNode);
+            for workers in [1_usize, 2, 4] {
+                for shard_size in [1_usize, 32, 257] {
+                    let runner = FleetRunner::new(workers).with_shard_size(shard_size);
+                    assert_eq!(
+                        reference,
+                        run(runner, &ctx, kind, Engine::Vectorized),
+                        "{}, seed {seed}, {workers} workers, shard {shard_size}",
+                        kind.label()
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -257,11 +315,10 @@ fn uncached_fleets_delegate_and_stay_bit_identical() {
     spec.pv_cache = false;
     let ctx = FleetContext::prepare(&spec).unwrap();
     let runner = FleetRunner::new(2);
-    let per_node = runner.run_prepared(&ctx).unwrap();
-    let vectorized = runner.run_vectorized_prepared(&ctx).unwrap();
     assert_eq!(
-        per_node, vectorized,
-        "pv_cache: false has no cursor to reuse — must delegate to batch"
+        oracle(runner, &ctx),
+        vectorized(runner, &ctx),
+        "pv_cache: false has no cursor to reuse — must delegate to per-node"
     );
 }
 
@@ -269,8 +326,8 @@ fn uncached_fleets_delegate_and_stay_bit_identical() {
 fn engine_aware_comparison_matrix_honours_the_contract() {
     let spec = spec(6, 5);
     let runner = FleetRunner::new(2);
-    let per_node = compare_trackers_over_fleet_with(&spec, &runner, Engine::PerNode).unwrap();
-    let vectorized = compare_trackers_over_fleet_with(&spec, &runner, Engine::Vectorized).unwrap();
+    let per_node = compare_trackers_over_fleet(&spec, &runner, Engine::PerNode).unwrap();
+    let vectorized = compare_trackers_over_fleet(&spec, &runner, Engine::Vectorized).unwrap();
     assert_eq!(per_node.len(), TrackerKind::ALL.len());
     assert_eq!(per_node.len(), vectorized.len());
     for ((kind_a, report_a), (kind_b, report_b)) in per_node.iter().zip(&vectorized) {

@@ -320,7 +320,7 @@ impl DutyCycledLoad {
 /// over `[pos, pos + dt)` evaluates as a *difference of prefix sums*,
 /// `F(pos + rem) − F(pos)`, instead of iterating phase segments — two
 /// short lookups per step in place of the phase walk that tops the
-/// fleet step profile (DESIGN.md §10/§14).
+/// fleet step profile (DESIGN.md §10).
 ///
 /// Divergence vs [`DutyCycledLoad::energy_demand`] is the cancellation
 /// of the prefix-sum difference — on the order of `ε·E_cycle` per step,

@@ -539,7 +539,7 @@ impl StoreSpec {
 
     /// Builds the same fresh store as [`StoreSpec::build`], but as a
     /// closed [`ConcreteStore`] enum instead of a boxed trait object, so
-    /// batch engines get static dispatch on the step hot path.
+    /// lane engines get static dispatch on the step hot path.
     ///
     /// # Errors
     ///
@@ -574,7 +574,7 @@ impl StoreSpec {
 /// `Box<dyn EnergyStore>` costs a virtual call per deposit / withdraw /
 /// leak — three per simulated step. A `ConcreteStore` dispatches with a
 /// three-way match the optimiser can inline, which is what the
-/// struct-of-arrays batch engine keeps per lane. Both forms are built
+/// struct-of-arrays vectorized engine keeps per lane. Both forms are built
 /// from the same constructors ([`StoreSpec::build`] delegates to
 /// [`StoreSpec::build_concrete`]), so their state sequences are
 /// bit-identical.

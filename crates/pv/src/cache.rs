@@ -565,7 +565,7 @@ impl CachedPvSurface {
     /// Each element goes through exactly the scalar
     /// [`CachedPvSurface::current_at`] path — same validation, same
     /// exact-solver fallback — so the outputs are bit-identical to a
-    /// scalar loop; the slice orientation is what lets batch engines
+    /// scalar loop; the slice orientation is what lets lane engines
     /// evaluate a whole shard (e.g. every node's cold-start feasibility
     /// current) without per-call dispatch.
     ///

@@ -271,8 +271,12 @@ mod tests {
         spec.dt = S::new(600.0);
         spec.obs = obs;
         let ctx = FleetContext::prepare(&spec).unwrap();
-        ctx.simulate_shard(TrackerKind::Focv, Engine::Batch, ctx.population().to_vec())
-            .unwrap()
+        ctx.simulate_shard(
+            TrackerKind::Focv,
+            Engine::PerNode,
+            ctx.population().to_vec(),
+        )
+        .unwrap()
     }
 
     #[test]

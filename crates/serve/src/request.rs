@@ -104,7 +104,9 @@ pub struct WhatIfRequest {
     /// The tracker to run (`/compare` ignores it when executing but it
     /// stays in the hash — it is part of what the client asked).
     pub tracker: TrackerKind,
-    /// Shard-execution engine.
+    /// Shard-execution engine. Omitted means [`Engine::PerNode`]: the
+    /// exact oracle, so a default reply is the same report whichever
+    /// engine version computed it.
     pub engine: Engine,
     /// Placement weights `[window, interior, outdoor]` (any scale).
     pub weights: [f64; 3],
@@ -204,7 +206,7 @@ impl WhatIfRequest {
             }
         };
         let engine = match body.get("engine") {
-            None => Engine::Batch,
+            None => Engine::PerNode,
             Some(v) => {
                 let s = v.as_str().ok_or_else(|| bad("engine must be a string"))?;
                 Engine::parse(s).ok_or_else(|| bad(format!("unknown engine {s:?}")))?
@@ -395,7 +397,9 @@ pub struct CampaignRequest {
     pub load: LoadClass,
     /// Tracker under test.
     pub tracker: TrackerKind,
-    /// Fleet engine.
+    /// Fleet engine. Omitted means the reference campaign's engine,
+    /// [`Engine::Vectorized`]: its survival counts are exact under the
+    /// engine's contract, and long campaigns are where its speed pays.
     pub engine: Engine,
     /// Whether the reference drift rates apply (false = no drift).
     pub drift: bool,
@@ -633,7 +637,7 @@ mod tests {
         assert_eq!(r.nodes, 100);
         assert_eq!(r.seed, 2011);
         assert_eq!(r.tracker, TrackerKind::Focv);
-        assert_eq!(r.engine, Engine::Batch);
+        assert_eq!(r.engine, Engine::PerNode);
         assert_eq!(r.tolerances, TolerancePreset::Production);
         assert!(r.pv_cache);
         assert!(!r.obs);
@@ -645,7 +649,7 @@ mod tests {
         let omitted = parse(Op::WhatIf, "{}").unwrap();
         let spelled = parse(
             Op::WhatIf,
-            r#"{"nodes":100,"seed":2011,"tracker":"focv","engine":"batch",
+            r#"{"nodes":100,"seed":2011,"tracker":"focv","engine":"per-node",
                 "tolerances":"production","dt_s":6e2,"trace_decimate":600,
                 "pv_cache":true,"obs":false,"shard_size":32,
                 "placements":{"window":0.25,"interior":0.6,"outdoor":0.15}}"#,
@@ -654,6 +658,23 @@ mod tests {
         assert_eq!(omitted, spelled);
         assert_eq!(omitted.hash(), spelled.hash());
         assert_eq!(omitted.canonical_json(), spelled.canonical_json());
+    }
+
+    #[test]
+    fn batch_engine_spelling_hashes_like_per_node() {
+        // `batch` names the retired engine that was bit-identical to the
+        // oracle; old request bodies must keep landing on the oracle's
+        // cache entry.
+        for op in [Op::WhatIf, Op::Compare] {
+            let batch = parse(op, r#"{"engine":"batch"}"#).unwrap();
+            let per_node = parse(op, r#"{"engine":"per-node"}"#).unwrap();
+            assert_eq!(batch.engine, Engine::PerNode);
+            assert_eq!(batch.canonical_json(), per_node.canonical_json());
+            assert_eq!(batch.hash(), per_node.hash());
+        }
+        let batch = parse_campaign(r#"{"engine":"batched"}"#).unwrap();
+        let per_node = parse_campaign(r#"{"engine":"per-node"}"#).unwrap();
+        assert_eq!(batch.hash(), per_node.hash());
     }
 
     #[test]
@@ -666,7 +687,7 @@ mod tests {
         );
         assert_ne!(
             base.hash(),
-            parse(Op::WhatIf, r#"{"engine":"per-node"}"#)
+            parse(Op::WhatIf, r#"{"engine":"vectorized"}"#)
                 .unwrap()
                 .hash()
         );
@@ -675,7 +696,7 @@ mod tests {
             parse(Op::WhatIf, r#"{"shard_size":16}"#).unwrap().hash()
         );
         // ... but none of those change the spec hash.
-        for body in [r#"{"tracker":"oracle"}"#, r#"{"engine":"per-node"}"#] {
+        for body in [r#"{"tracker":"oracle"}"#, r#"{"engine":"vectorized"}"#] {
             assert_eq!(
                 base.spec_hash(),
                 parse(Op::Compare, body).unwrap().spec_hash()
@@ -744,7 +765,7 @@ mod tests {
         let omitted = parse_campaign("{}").unwrap();
         let spelled = parse_campaign(
             r#"{"nodes":48,"seed":2011,"days":91,"epoch_days":13,"latitude":52,
-                "climate":"temperate","load":"radio","tracker":"focv","engine":"batch",
+                "climate":"temperate","load":"radio","tracker":"focv","engine":"vectorized",
                 "drift":true,"fault_probability":0.15,"dt_s":600,"shard_size":32}"#,
         )
         .unwrap();

@@ -6,44 +6,45 @@
 //! against every baseline tracker.
 //!
 //! Run with `cargo run --example fleet_comparison`. Pass
-//! `--engine per-node|batch|vectorized` (default `batch`) to pick the
-//! execution engine — per-node and batch are bit-identical, the
-//! vectorized engine matches under its bounded-divergence contract
-//! (exact counts/classifications, energies within rel 1e-9).
+//! `--engine per-node|vectorized` (default `vectorized`) to pick the
+//! execution engine — per-node is the exact oracle, the vectorized
+//! engine matches it under its bounded-divergence contract (exact
+//! counts/classifications, energies within rel 1e-9). An unknown
+//! engine spelling exits non-zero.
 
 use pv_mppt_repro::fleet::{
-    compare_trackers_over_fleet_with, Engine, FleetRunner, FleetSpec, Placement, TrackerKind,
+    compare_trackers_over_fleet, Engine, FleetRunner, FleetSpec, Placement, TrackerKind,
 };
 use pv_mppt_repro::units::Seconds;
 
 /// Parses `--engine X` / `--engine=X` from the arguments; defaults to
-/// the batch engine, and falls back to it on an unknown spelling.
-fn engine_from_args() -> Engine {
+/// the vectorized engine. An unknown spelling is an error naming it.
+fn engine_from_args() -> Result<Engine, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--engine" {
-            return args
-                .next()
-                .and_then(|v| Engine::parse(&v))
-                .unwrap_or(Engine::Batch);
-        }
-        if let Some(v) = arg.strip_prefix("--engine=") {
-            return Engine::parse(v).unwrap_or(Engine::Batch);
-        }
+        let raw = if arg == "--engine" {
+            args.next().unwrap_or_default()
+        } else if let Some(v) = arg.strip_prefix("--engine=") {
+            v.to_owned()
+        } else {
+            continue;
+        };
+        return Engine::parse(&raw)
+            .ok_or_else(|| format!("unknown --engine {raw:?}: expected per-node or vectorized"));
     }
-    Engine::Batch
+    Ok(Engine::Vectorized)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 60 nodes from one seed: production-batch tolerances, mixed
     // window/interior/outdoor placements, supercap storage. A 10-minute
-    // grid keeps the 8-tracker shoot-out at example speed.
+    // grid keeps the 11-tracker shoot-out at example speed.
     let mut spec = FleetSpec::mixed_indoor_outdoor(60, 2011)?;
     spec.name = "office building, floor 3".into();
     spec.trace_decimate = 600;
     spec.dt = Seconds::new(600.0);
 
-    let engine = engine_from_args();
+    let engine = engine_from_args()?;
     let runner = FleetRunner::auto();
     let report = runner.run_engine(&spec, TrackerKind::Focv, engine)?;
 
@@ -74,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "net<0",
         "br-outs"
     );
-    let comparison = compare_trackers_over_fleet_with(&spec, &runner, engine)?;
+    let comparison = compare_trackers_over_fleet(&spec, &runner, engine)?;
     for (kind, fleet) in &comparison {
         let p50 = |p: Option<pv_mppt_repro::fleet::Percentiles>| p.expect("non-empty fleet").p50;
         let p = fleet.net_energy_percentiles().expect("non-empty fleet");

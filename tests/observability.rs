@@ -3,7 +3,7 @@
 //! energy-ledger conservation invariant, and the exporters.
 
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
-use pv_mppt_repro::fleet::{FleetRunner, FleetSpec};
+use pv_mppt_repro::fleet::{Engine, FleetRunner, FleetSpec, TrackerKind};
 use pv_mppt_repro::node::{DutyCycledLoad, NodeSimulation, SimConfig};
 use pv_mppt_repro::obs::{EnergyBucket, Metrics, Recorder};
 use pv_mppt_repro::pv::presets;
@@ -86,8 +86,13 @@ fn fleet_metrics_worker_invariant() {
     spec.trace_decimate = 3600;
     spec.dt = Seconds::new(3600.0);
     spec.obs = true;
-    let one = FleetRunner::new(1).run(&spec).expect("1-worker run");
-    let four = FleetRunner::new(4).run(&spec).expect("4-worker run");
+    let run = |workers| {
+        FleetRunner::new(workers)
+            .run_engine(&spec, TrackerKind::Focv, Engine::PerNode)
+            .expect("fleet run")
+    };
+    let one = run(1);
+    let four = run(4);
     assert!(one.metrics.is_some());
     assert_eq!(one.metrics, four.metrics);
 }
