@@ -1,15 +1,15 @@
-//! Order-independent campaign aggregation.
+//! Campaign outcomes and survival statistics.
 //!
-//! Like [`eh_fleet::FleetReport`], a [`CampaignReport`] is built by
-//! merging per-node reports in input order, so the aggregate — and
-//! every derived survival statistic — is bit-for-bit identical at any
-//! worker count and shard size.
+//! A [`CampaignReport`] holds one [`CampaignNodeOutcome`] per node in
+//! fleet order. The campaign runner collects them epoch by epoch from
+//! the fleet layer's shard fold, whose per-node outcomes do not depend
+//! on sharding, so the report — and every derived survival statistic —
+//! is bit-for-bit identical at any worker count and shard size.
 
 use std::fmt;
 
 use eh_fleet::{Percentiles, Placement};
 use eh_obs::Recorder;
-use eh_sim::Mergeable;
 use eh_units::Joules;
 
 use crate::schedule::FaultKind;
@@ -58,15 +58,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// A single-node report — the unit [`Mergeable`] folds over.
-    pub fn single(name: &str, days: u32, outcome: CampaignNodeOutcome) -> Self {
-        Self {
-            name: name.to_owned(),
-            days,
-            outcomes: vec![outcome],
-        }
-    }
-
     /// Number of nodes aggregated.
     pub fn nodes(&self) -> usize {
         self.outcomes.len()
@@ -138,12 +129,6 @@ impl CampaignReport {
     }
 }
 
-impl Mergeable for CampaignReport {
-    fn merge(&mut self, other: Self) {
-        self.outcomes.extend(other.outcomes);
-    }
-}
-
 impl fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -204,19 +189,11 @@ mod tests {
     }
 
     fn report(outcomes: Vec<CampaignNodeOutcome>) -> CampaignReport {
-        let mut it = outcomes.into_iter();
-        let mut r = CampaignReport::single("t", 100, it.next().unwrap());
-        for o in it {
-            r.merge(CampaignReport::single("t", 100, o));
+        CampaignReport {
+            name: "t".to_owned(),
+            days: 100,
+            outcomes,
         }
-        r
-    }
-
-    #[test]
-    fn merge_concatenates_in_call_order() {
-        let r = report((0..5).map(|i| outcome(i, None)).collect());
-        let ids: Vec<u32> = r.outcomes.iter().map(|o| o.id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -3,16 +3,26 @@
 //!
 //! # Execution model
 //!
-//! A campaign is **node-major**: the fleet is sharded across workers,
-//! and each node runs *all* epochs sequentially — epoch `e+1` starts
-//! from the store energy the node held at the end of epoch `e`. Drift
-//! and fault state are piecewise constant within an epoch, re-derived
-//! at each boundary from the node's [`NodeSchedule`] and the epoch's
-//! start age, so a node's whole trajectory is a pure function of
-//! `(spec, node id)` — independent of sharding, worker count and fleet
-//! size. Per-node reports merge in fleet order exactly like
-//! [`eh_fleet::FleetRunner`], which is what makes the
+//! A campaign is **epoch-major**: for each epoch in turn, the whole
+//! fleet's per-node [`NodeSpec`]s are rebuilt — drift and faults at the
+//! epoch's start age from each node's [`NodeSchedule`], the store worn
+//! to that age and carrying the energy the node held at the end of the
+//! previous epoch — and run as one shard fold through
+//! [`FleetRunner::run_nodes`], the same fold
+//! [`FleetRunner::run_engine_prepared`] uses for a fleet day. Store
+//! carry, brown-out and net-energy state live in per-node vectors
+//! between epochs.
+//!
+//! Nodes sharing a shard never exchange data (`DESIGN.md` §10), so a
+//! node's whole trajectory is a pure function of `(spec, node id)` —
+//! independent of sharding, worker count and fleet size — and
+//! [`CampaignContext::simulate_node`], the same epoch loop over a
+//! one-node slice, reproduces its campaign outcome exactly. Outcomes
+//! are collected in fleet order, which is what makes the
 //! [`CampaignReport`] bit-identical at any worker count.
+//!
+//! On failure the first failing epoch wins, and within it the first
+//! failing node in fleet order.
 //!
 //! # Seed streams
 //!
@@ -27,9 +37,8 @@
 //!   ([`eh_env::weather::WeatherModel`]).
 
 use eh_env::TracePerturbation;
-use eh_fleet::{FleetContext, FleetSpec, NodeSpec, Placement, SurfacePool};
+use eh_fleet::{FleetContext, FleetRunner, FleetSpec, NodeSpec, Placement, SurfacePool};
 use eh_node::StoreSpec;
-use eh_sim::SweepRunner;
 use eh_units::{Farads, Joules, Volts};
 
 use crate::environment::epoch_traces;
@@ -41,9 +50,6 @@ use crate::spec::CampaignSpec;
 /// Salt XORed into the campaign seed for the weather stream (distinct
 /// from the population stream and [`crate::schedule::SCHEDULE_SALT`]).
 pub const WEATHER_SALT: u64 = 0x517C_C1B7_2722_0A95;
-
-/// Default nodes per shard, matching [`eh_fleet::FleetRunner`].
-const DEFAULT_SHARD_SIZE: usize = 32;
 
 /// The prepared, immutable inputs of a campaign: the base fleet spec,
 /// the drawn population and schedules, and one environment-injected
@@ -134,8 +140,10 @@ impl CampaignContext {
         &self.schedules
     }
 
-    /// Runs one node through every epoch, carrying its store energy
-    /// across boundaries, and returns its single-node report.
+    /// Runs one node alone through every epoch, carrying its store
+    /// energy across boundaries, and returns its single-node report —
+    /// the campaign's own epoch loop over a one-node slice, so the
+    /// outcome equals the node's outcome in the whole campaign.
     ///
     /// # Errors
     ///
@@ -145,80 +153,123 @@ impl CampaignContext {
         node: &NodeSpec,
         sched: &NodeSchedule,
     ) -> Result<CampaignReport, CampaignError> {
+        self.run_epochs(
+            &FleetRunner::new(1),
+            std::slice::from_ref(node),
+            std::slice::from_ref(sched),
+        )
+    }
+
+    /// The epoch loop: every epoch runs all `nodes` as one shard fold
+    /// through `runner`, and per-node carry, brown-out and net-energy
+    /// state threads from one epoch into the next.
+    fn run_epochs(
+        &self,
+        runner: &FleetRunner,
+        nodes: &[NodeSpec],
+        schedules: &[NodeSchedule],
+    ) -> Result<CampaignReport, CampaignError> {
         let spec = &self.spec;
         let base_store = self.contexts[0].spec().store;
-        let mut carry: Option<Joules> = None;
-        let mut first_brownout: Option<u32> = None;
-        let mut brownout_epochs = 0u32;
-        let mut net = 0.0;
-        let mut final_store = Joules::ZERO;
+        let n = nodes.len();
+        let mut carry: Vec<Option<Joules>> = vec![None; n];
+        let mut first_brownout: Vec<Option<u32>> = vec![None; n];
+        let mut brownout_epochs = vec![0u32; n];
+        let mut net = vec![0.0; n];
 
         for (ctx, &(start, len)) in self.contexts.iter().zip(&self.epochs) {
-            let mut unit = node.clone();
-
-            // Drift at the epoch's start age: dust and cell aging both
-            // land multiplicatively on the node's illuminance gain.
-            let optics = NodeSchedule::remaining(sched.dust_per_year, start)
-                * NodeSchedule::remaining(sched.aging_per_year, start);
-            let mut gain = node.perturbation.gain() * optics;
-            let mut offset = node.perturbation.offset_lux();
-
-            if let Some((kind, onset)) = sched.fault {
-                // Permanent faults apply from the epoch containing the
-                // onset; the dropout storm only blacks out that epoch.
-                let from_here = onset < start + len;
-                let in_this_epoch = (start..start + len).contains(&onset);
-                match kind {
-                    FaultKind::StuckHoldCap if from_here => {
-                        unit.sample_period = node.sample_period * 1000.0;
+            let units = nodes
+                .iter()
+                .zip(schedules)
+                .zip(&carry)
+                .map(|((node, sched), &carry)| {
+                    epoch_unit(node, sched, base_store, start, len, carry)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let report = runner.run_nodes(ctx, spec.tracker, spec.engine, units)?;
+            for (i, outcome) in report.outcomes.iter().enumerate() {
+                net[i] += outcome.net_energy().value();
+                carry[i] = Some(outcome.report.final_store_energy);
+                if outcome.browned_out() {
+                    brownout_epochs[i] += 1;
+                    if first_brownout[i].is_none() {
+                        // Estimate the failure day from the served
+                        // fraction: exact to the epoch, approximate
+                        // within it.
+                        let served = outcome.report.load_served.value();
+                        let demand = outcome.report.load_demand.value();
+                        let frac = (served / demand).clamp(0.0, 1.0);
+                        let est = (frac * f64::from(len)) as u32;
+                        first_brownout[i] = Some(start + est.min(len - 1));
                     }
-                    FaultKind::DividerDrift if from_here => {
-                        unit.k = node.k * 1.25;
-                    }
-                    FaultKind::DropoutStorm if in_this_epoch => {
-                        gain = 0.0;
-                        offset = 0.0;
-                    }
-                    _ => {}
-                }
-            }
-            unit.perturbation = TracePerturbation::new(gain, offset)?;
-            unit.store = Some(worn_store(base_store, sched.wear_per_year, start, carry));
-
-            let report = ctx.simulate_shard(spec.tracker, spec.engine, vec![unit])?;
-            let outcome = &report.outcomes[0];
-            net += outcome.net_energy().value();
-            final_store = outcome.report.final_store_energy;
-            carry = Some(final_store);
-
-            if outcome.browned_out() {
-                brownout_epochs += 1;
-                if first_brownout.is_none() {
-                    // Estimate the failure day from the served fraction:
-                    // exact to the epoch, approximate within it.
-                    let served = outcome.report.load_served.value();
-                    let demand = outcome.report.load_demand.value();
-                    let frac = (served / demand).clamp(0.0, 1.0);
-                    let est = (frac * f64::from(len)) as u32;
-                    first_brownout = Some(start + est.min(len - 1));
                 }
             }
         }
 
-        Ok(CampaignReport::single(
-            &spec.name,
-            spec.days,
-            CampaignNodeOutcome {
+        let outcomes = nodes
+            .iter()
+            .zip(schedules)
+            .enumerate()
+            .map(|(i, (node, sched))| CampaignNodeOutcome {
                 id: node.id,
                 placement: node.placement,
-                first_brownout_day: first_brownout,
-                brownout_epochs,
+                first_brownout_day: first_brownout[i],
+                brownout_epochs: brownout_epochs[i],
                 fault: sched.fault,
-                net_energy: Joules::new(net),
-                final_store_energy: final_store,
-            },
-        ))
+                net_energy: Joules::new(net[i]),
+                final_store_energy: carry[i].unwrap_or(Joules::ZERO),
+            })
+            .collect();
+        Ok(CampaignReport {
+            name: spec.name.clone(),
+            days: spec.days,
+            outcomes,
+        })
     }
+}
+
+/// One node's spec for the epoch `[start, start + len)`: drift at the
+/// epoch's start age, the faults active in it, and the base store worn
+/// to that age carrying `carry` from the previous epoch.
+fn epoch_unit(
+    node: &NodeSpec,
+    sched: &NodeSchedule,
+    base_store: StoreSpec,
+    start: u32,
+    len: u32,
+    carry: Option<Joules>,
+) -> Result<NodeSpec, CampaignError> {
+    let mut unit = node.clone();
+
+    // Drift at the epoch's start age: dust and cell aging both land
+    // multiplicatively on the node's illuminance gain.
+    let optics = NodeSchedule::remaining(sched.dust_per_year, start)
+        * NodeSchedule::remaining(sched.aging_per_year, start);
+    let mut gain = node.perturbation.gain() * optics;
+    let mut offset = node.perturbation.offset_lux();
+
+    if let Some((kind, onset)) = sched.fault {
+        // Permanent faults apply from the epoch containing the onset;
+        // the dropout storm only blacks out that epoch.
+        let from_here = onset < start + len;
+        let in_this_epoch = (start..start + len).contains(&onset);
+        match kind {
+            FaultKind::StuckHoldCap if from_here => {
+                unit.sample_period = node.sample_period * 1000.0;
+            }
+            FaultKind::DividerDrift if from_here => {
+                unit.k = node.k * 1.25;
+            }
+            FaultKind::DropoutStorm if in_this_epoch => {
+                gain = 0.0;
+                offset = 0.0;
+            }
+            _ => {}
+        }
+    }
+    unit.perturbation = TracePerturbation::new(gain, offset)?;
+    unit.store = Some(worn_store(base_store, sched.wear_per_year, start, carry));
+    Ok(unit)
 }
 
 /// The base store aged to `age_days` of wear, optionally carrying the
@@ -280,28 +331,28 @@ fn worn_store(
     }
 }
 
-/// Shards a campaign across workers with bit-identical aggregation at
-/// any worker count and shard size.
+/// Runs campaigns through a [`FleetRunner`]'s shard fold, with
+/// bit-identical reports at any worker count and shard size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignRunner {
-    runner: SweepRunner,
-    shard_size: usize,
+    runner: FleetRunner,
 }
 
 impl CampaignRunner {
-    /// A runner with a fixed worker count (clamped to at least 1).
+    /// A runner with a fixed worker count (clamped to at least 1) and
+    /// [`FleetRunner::DEFAULT_SHARD_SIZE`] nodes per shard.
     pub fn new(workers: usize) -> Self {
         Self {
-            runner: SweepRunner::new(workers),
-            shard_size: DEFAULT_SHARD_SIZE,
+            runner: FleetRunner::new(workers),
         }
     }
 
     /// Overrides the nodes-per-shard grouping (clamped to at least 1).
     #[must_use]
-    pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        self.shard_size = shard_size.max(1);
-        self
+    pub fn with_shard_size(self, shard_size: usize) -> Self {
+        Self {
+            runner: self.runner.with_shard_size(shard_size),
+        }
     }
 
     /// Prepares and runs a campaign.
@@ -313,39 +364,26 @@ impl CampaignRunner {
         self.run_prepared(&CampaignContext::prepare(spec)?)
     }
 
-    /// Runs a prepared campaign: nodes are sharded across workers, each
-    /// node chained through every epoch, and the per-node reports folded
-    /// in fleet order.
+    /// Runs a prepared campaign epoch by epoch: each epoch's node specs
+    /// are sharded across workers as one fleet fold, and the outcomes
+    /// are reported in fleet order.
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// Propagates simulation failures. When several nodes fail, the
+    /// error is that of the first failing epoch, and within it of the
+    /// first failing node in fleet order — deterministic at any worker
+    /// count and shard size. (A node whose drifted spec cannot be
+    /// built fails its epoch before any node of it is simulated.)
     pub fn run_prepared(&self, ctx: &CampaignContext) -> Result<CampaignReport, CampaignError> {
-        let items: Vec<(NodeSpec, NodeSchedule)> = ctx
-            .population
-            .iter()
-            .cloned()
-            .zip(ctx.schedules.iter().copied())
-            .collect();
-        let merged = self
-            .runner
-            .run_merged(items, self.shard_size, |_idx, (node, sched)| {
-                ctx.simulate_node(&node, &sched)
-            })?;
-        match merged {
-            Some(report) => report,
-            // Unreachable: validate() rejects zero-node campaigns.
-            None => Err(CampaignError::InvalidSpec {
-                name: "nodes",
-                value: 0.0,
-            }),
-        }
+        ctx.run_epochs(&self.runner, &ctx.population, &ctx.schedules)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eh_fleet::Engine;
     use eh_units::Seconds;
 
     fn tiny_spec(nodes: u32, days: u32, epoch_days: u32, seed: u64) -> CampaignSpec {
@@ -374,6 +412,41 @@ mod tests {
         let ids: Vec<u32> = report.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(report.days, 6);
+    }
+
+    #[test]
+    fn first_failing_epoch_wins_then_fleet_order() {
+        // A divider drift pushes k past 1, so the node's tracker cannot
+        // be built from the onset epoch on. Node 0 fails from epoch 1;
+        // nodes 1 and 2 fail from epoch 0. The error is node 1's: the
+        // earliest failing epoch, then fleet order within it.
+        for engine in Engine::ALL {
+            let mut spec = tiny_spec(3, 9, 3, 2011);
+            spec.engine = engine;
+            let mut ctx = CampaignContext::prepare(&spec).unwrap();
+            for (i, (k, onset)) in [(0.85, 4), (0.9, 1), (0.95, 0)].into_iter().enumerate() {
+                ctx.population[i].k = k;
+                ctx.schedules[i].fault = Some((FaultKind::DividerDrift, onset));
+            }
+            let alone = |i: usize| {
+                ctx.simulate_node(&ctx.population[i], &ctx.schedules[i])
+                    .unwrap_err()
+            };
+            assert_ne!(alone(0), alone(1), "the failures must be told apart");
+            for workers in [1, 2] {
+                for shard_size in [1, 2, 32] {
+                    let err = CampaignRunner::new(workers)
+                        .with_shard_size(shard_size)
+                        .run_prepared(&ctx)
+                        .unwrap_err();
+                    assert_eq!(
+                        err,
+                        alone(1),
+                        "{engine}, {workers} workers, shard {shard_size}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! stream (population, schedules, weather) is order-pinned.
 
 use eh_campaign::{CampaignContext, CampaignReport, CampaignRunner, CampaignSpec};
+use eh_fleet::Engine;
 use eh_units::Seconds;
 use proptest::prelude::*;
 
@@ -28,21 +29,36 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) 
     assert_eq!(a, b, "{what}: aggregate diverged");
 }
 
+/// On both engines, for every seed: the report is bit-identical across
+/// worker counts and shard sizes, and every node's outcome equals
+/// `simulate_node` run on that node alone.
 #[test]
 fn report_is_bit_identical_across_workers_and_shard_sizes() {
-    for seed in [2011_u64, 7] {
-        let ctx = CampaignContext::prepare(&tiny_spec(12, seed)).unwrap();
-        let reference = CampaignRunner::new(1).run_prepared(&ctx).unwrap();
-        for workers in [1_usize, 2, 4] {
-            for shard_size in [1_usize, 5, 32] {
-                let candidate = CampaignRunner::new(workers)
-                    .with_shard_size(shard_size)
-                    .run_prepared(&ctx)
-                    .unwrap();
-                assert_reports_identical(
-                    &reference,
-                    &candidate,
-                    &format!("seed {seed}, {workers} workers, shard {shard_size}"),
+    for engine in Engine::ALL {
+        for seed in [2011_u64, 7] {
+            let mut spec = tiny_spec(12, seed);
+            spec.engine = engine;
+            let ctx = CampaignContext::prepare(&spec).unwrap();
+            let reference = CampaignRunner::new(1).run_prepared(&ctx).unwrap();
+            for workers in [1_usize, 2, 4] {
+                for shard_size in [1_usize, 5, 32] {
+                    let candidate = CampaignRunner::new(workers)
+                        .with_shard_size(shard_size)
+                        .run_prepared(&ctx)
+                        .unwrap();
+                    assert_reports_identical(
+                        &reference,
+                        &candidate,
+                        &format!("{engine}, seed {seed}, {workers} workers, shard {shard_size}"),
+                    );
+                }
+            }
+            for (i, (node, sched)) in ctx.population().iter().zip(ctx.schedules()).enumerate() {
+                let alone = ctx.simulate_node(node, sched).unwrap();
+                assert_eq!(
+                    alone.outcomes[..],
+                    reference.outcomes[i..=i],
+                    "{engine}, seed {seed}: node {i} alone diverged"
                 );
             }
         }

@@ -69,17 +69,7 @@ impl FleetContext {
             });
         }
         let pool = SurfacePool::warm(&spec.cell, in_use.iter().copied(), spec.pv_cache)?;
-        let cold = ColdStart::paper_prototype()?;
-        let knee = cold.enable_threshold() + cold.diode_drop();
-
-        Ok(Self {
-            spec: spec.clone(),
-            population,
-            traces,
-            pool,
-            cold,
-            knee,
-        })
+        Self::assemble(spec, population, traces, pool)
     }
 
     /// Prepares a context against **caller-supplied** environment traces
@@ -104,7 +94,18 @@ impl FleetContext {
         traces: [Option<TimeSeries>; 3],
         pool: SurfacePool,
     ) -> Result<Self, FleetError> {
-        let population = spec.population()?;
+        Self::assemble(spec, spec.population()?, traces, pool)
+    }
+
+    /// The one constructor: checks that every placement `population`
+    /// uses has a trace and a warmed cell, and derives the paper's §III
+    /// cold-start supervisor constants.
+    fn assemble(
+        spec: &FleetSpec,
+        population: Vec<NodeSpec>,
+        traces: [Option<TimeSeries>; 3],
+        pool: SurfacePool,
+    ) -> Result<Self, FleetError> {
         for p in Placement::ALL {
             if population.iter().any(|n| n.placement == p) {
                 if traces[p.index()].is_none() {
@@ -151,9 +152,8 @@ impl FleetContext {
 
     /// Simulates one shard of nodes through the chosen engine and folds
     /// their reports in fleet order — the one place the engine is
-    /// chosen, and the public per-shard entry point long-running callers
-    /// (the serving layer's streaming and checkpoint/resume paths, the
-    /// campaign layer) drive directly.
+    /// chosen, and the public per-shard entry point the serving layer's
+    /// streaming and checkpoint/resume paths drive directly.
     ///
     /// [`Engine::Vectorized`] runs FOCV on a `pv_cache` fleet through
     /// its wide lanes; every other tracker, and every fleet with

@@ -3,7 +3,7 @@
 //! ```text
 //! FleetSpec ──FleetContext::prepare──▶ population + traces + pool
 //!                                              │ shards
-//!     TrackerKind, Engine ──▶ FleetContext::simulate_shard ──▶ BatchRunner
+//!     TrackerKind, Engine ──▶ FleetContext::simulate_shard ──▶ SweepRunner::run_shards
 //!                              ├─ per-node oracle                  │ fold
 //!                              └─ vectorized lane packs            ▼
 //!                       FleetReport ◀──merge in shard index order
@@ -20,12 +20,16 @@
 //! vectorized engine in [`crate::vectorized`], which trades
 //! bit-identity for a bounded-divergence contract and roughly twice the
 //! oracle's step throughput on FOCV fleets.
+//!
+//! Endurance campaigns run through the same fold: each epoch hands its
+//! drifted, faulted and worn node specs to [`FleetRunner::run_nodes`].
 
-use eh_sim::{BatchRunner, SweepRunner};
+use eh_sim::SweepRunner;
 
 use crate::compare::TrackerKind;
 use crate::context::FleetContext;
 use crate::error::FleetError;
+use crate::population::NodeSpec;
 use crate::report::FleetReport;
 use crate::spec::FleetSpec;
 
@@ -84,7 +88,7 @@ impl std::fmt::Display for Engine {
 ///
 /// The shard size trades scheduling overhead against load balance; it
 /// never affects the per-node outcomes (see
-/// [`eh_sim::BatchRunner::run_shards`]'s order contract).
+/// [`SweepRunner::run_shards`]'s order contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRunner {
     runner: SweepRunner,
@@ -158,13 +162,36 @@ impl FleetRunner {
         kind: TrackerKind,
         engine: Engine,
     ) -> Result<FleetReport, FleetError> {
-        let runner = BatchRunner::from_runner(self.runner, self.shard_size)?;
-        let report = merged_or_empty(runner.run_shards(ctx.population().to_vec(), |_, nodes| {
-            ctx.simulate_shard(kind, engine, nodes)
-        }))?;
+        let report = self.run_nodes(ctx, kind, engine, ctx.population().to_vec())?;
         // Fleet-scope counters are folded after the merge so they are
         // recorded exactly once regardless of sharding or engine.
         Ok(report.with_fleet_counters())
+    }
+
+    /// The shard fold behind every run: `nodes` are cut into contiguous
+    /// shards of [`FleetRunner::shard_size`], each shard runs through
+    /// [`FleetContext::simulate_shard`] against `ctx`'s shared traces
+    /// and surfaces, and the shard reports fold in shard index order.
+    ///
+    /// `nodes` need not be `ctx`'s own population: an endurance campaign
+    /// passes each epoch's drifted, faulted and store-carrying specs of
+    /// the same nodes. Fleet-scope counters are not stamped
+    /// ([`FleetReport::with_fleet_counters`] is the caller's).
+    ///
+    /// # Errors
+    ///
+    /// The first failing node in `nodes` order;
+    /// [`FleetError::EmptyFleet`] for empty `nodes`.
+    pub fn run_nodes(
+        &self,
+        ctx: &FleetContext,
+        kind: TrackerKind,
+        engine: Engine,
+        nodes: Vec<NodeSpec>,
+    ) -> Result<FleetReport, FleetError> {
+        merged_or_empty(self.runner.run_shards(nodes, self.shard_size, |_, shard| {
+            ctx.simulate_shard(kind, engine, shard)
+        })?)
     }
 }
 

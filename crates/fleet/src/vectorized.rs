@@ -92,13 +92,14 @@ pub(crate) fn simulate_shard(
     let load_profile = spec.load.as_ref().map(|l| l.energy_profile());
 
     // Stage 1 — lane-constant state, one slot per node in fleet order.
-    let mut traces: Vec<TimeSeries> = Vec::with_capacity(n);
+    // Perturbed traces are not kept: a multi-day campaign epoch's trace
+    // is ~10^4 samples, so a shard holding one per node would grow peak
+    // memory with the shard size. `run_pack` re-derives them per pack.
     let mut peaks: Vec<Lux> = Vec::with_capacity(n);
     let mut builds: Vec<Option<Result<LaneBuild, FleetError>>> = Vec::with_capacity(n);
     for node in &nodes {
         let trace = node.perturbation.apply(ctx.base_trace(node.placement));
         peaks.push(Lux::new(trace.max()));
-        traces.push(trace);
         builds.push(Some(build_lane(spec, node)));
     }
 
@@ -147,7 +148,7 @@ pub(crate) fn simulate_shard(
                         spec.dt,
                         spec.obs,
                         &nodes,
-                        &traces,
+                        ctx.base_trace(placement),
                         &mut builds,
                         chunk,
                         &mut sims,
@@ -328,8 +329,10 @@ impl LaneStore {
     }
 }
 
-/// Steps one pack of up to [`LANES`] lanes in lockstep and writes each
-/// lane's `NodeReport` (or first error) into its fleet-order slot.
+/// Steps one pack of up to [`LANES`] same-placement lanes in lockstep
+/// against their perturbations of the placement's `base` trace, and
+/// writes each lane's `NodeReport` (or first error) into its
+/// fleet-order slot.
 ///
 /// The per-lane state is struct-of-arrays: parallel vectors of plain
 /// scalars indexed by lane, so the inner `for l in 0..w` sweeps are
@@ -343,12 +346,16 @@ fn run_pack(
     dt: Seconds,
     obs_on: bool,
     nodes: &[NodeSpec],
-    traces: &[TimeSeries],
+    base: &TimeSeries,
     builds: &mut [Option<Result<LaneBuild, FleetError>>],
     chunk: &[usize],
     sims: &mut [Option<Result<NodeReport, FleetError>>],
 ) {
     let dt_v = dt.value();
+    let traces: Vec<TimeSeries> = chunk
+        .iter()
+        .map(|&i| nodes[i].perturbation.apply(base))
+        .collect();
 
     // ── SoA lane state ──────────────────────────────────────────────
     let mut slot: Vec<usize> = Vec::with_capacity(LANES);
@@ -374,12 +381,11 @@ fn run_pack(
     let mut done: Vec<bool> = Vec::with_capacity(LANES);
     let mut err: Vec<Option<NodeError>> = Vec::with_capacity(LANES);
 
-    for &i in chunk {
+    for (&i, trace) in chunk.iter().zip(&traces) {
         let build = builds[i].take().expect("each lane is built exactly once");
         match build {
             Err(e) => sims[i] = Some(Err(e)),
             Ok((k, l0, s, nm)) => {
-                let trace = &traces[i];
                 slot.push(i);
                 kernel.push(k);
                 lane.push(l0);

@@ -1,18 +1,13 @@
-//! Shard-level parallel fold: the scheduling half of the batch engine.
+//! Shard-at-once parallel fold: the one way work is sharded and merged.
 //!
-//! [`SweepRunner::run_merged`] hands items to the worker closure one at
-//! a time, which is the right shape when every item is an independent
-//! simulation. A batch engine wants the *whole contiguous shard* at
-//! once, so it can lay the shard's state out as struct-of-arrays and
-//! sweep it with one inner loop. [`BatchRunner`] owns that contract:
-//! it chunks the items, hands each worker `(first_global_index, shard)`
-//! pairs, and folds the shard reports **in shard index order**, so the
-//! merged result is bit-for-bit identical at any worker count — the
-//! same determinism contract `run_merged` gives per-item folds.
-//!
-//! The shard size is validated once at construction:
-//! [`BatchRunner::new`] rejects zero with a typed
-//! [`SimError::InvalidParameter`] instead of silently degenerating.
+//! [`SweepRunner::run_shards`] chunks the items into contiguous batches
+//! of `shard_size`, hands each worker `(first_global_index, shard)`
+//! pairs, and folds the shard reports **in shard index order**. Because
+//! the shard boundaries and the fold order are fixed by the input —
+//! never by the scheduler — the merged result is bit-for-bit identical
+//! at any worker count. The worker closure receives the whole shard, so
+//! it may fold item by item or lay the shard out as struct-of-arrays
+//! lanes and sweep it with one inner loop.
 
 use crate::error::SimError;
 use crate::merge::Mergeable;
@@ -21,7 +16,7 @@ use crate::sweep::SweepRunner;
 /// Chunks `items` into `(first_global_index, shard_items)` pairs of at
 /// most `shard_size` items each. `shard_size` must be non-zero (callers
 /// validate; this is an internal helper).
-pub(crate) fn chunk_shards<T>(items: Vec<T>, shard_size: usize) -> Vec<(usize, Vec<T>)> {
+fn chunk_shards<T>(items: Vec<T>, shard_size: usize) -> Vec<(usize, Vec<T>)> {
     debug_assert!(shard_size > 0, "shard_size validated by callers");
     let mut shards: Vec<(usize, Vec<T>)> = Vec::with_capacity(items.len().div_ceil(shard_size));
     for (i, item) in items.into_iter().enumerate() {
@@ -37,78 +32,42 @@ pub(crate) fn chunk_shards<T>(items: Vec<T>, shard_size: usize) -> Vec<(usize, V
     shards
 }
 
-/// Fans contiguous shards of work across [`SweepRunner`] workers and
-/// folds the per-shard reports in shard index order.
-///
-/// This is the scheduling layer of the batch-stepped fleet engine: the
-/// worker closure receives the whole shard (plus the global index of
-/// its first item) and is free to transpose it into struct-of-arrays
-/// state and advance every lane with one inner loop. Because the shard
-/// boundaries and the fold order are fixed by the input — never by the
-/// scheduler — the merged report is bit-identical at any worker count,
-/// and identical to a per-item fold at the same shard size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRunner {
-    runner: SweepRunner,
-    shard_size: usize,
-}
-
-impl BatchRunner {
-    /// A runner with a fixed worker count (clamped to at least 1) and a
-    /// fixed shard size.
+impl SweepRunner {
+    /// Applies `f` to every contiguous shard of at most `shard_size`
+    /// items — `f(first_global_index, shard_items)` — in parallel, and
+    /// folds the shard reports in shard index order. Returns `Ok(None)`
+    /// for empty input.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] when `shard_size` is zero
-    /// — a zero shard cannot make progress and silently clamping it
-    /// would hide the caller's bug.
-    pub fn new(workers: usize, shard_size: usize) -> Result<Self, SimError> {
-        Self::from_runner(SweepRunner::new(workers), shard_size)
-    }
-
-    /// Wraps an existing [`SweepRunner`] with a shard size.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::new`]: zero `shard_size` is a typed error.
-    pub fn from_runner(runner: SweepRunner, shard_size: usize) -> Result<Self, SimError> {
+    /// Returns [`SimError::InvalidParameter`] when `shard_size` is zero,
+    /// even for empty input: a zero shard cannot make progress, and
+    /// silently clamping it would hide the caller's bug *and* change
+    /// the shard grouping that float-fold results (merged metrics) are
+    /// identified by.
+    pub fn run_shards<T, R, F>(
+        &self,
+        items: Vec<T>,
+        shard_size: usize,
+        f: F,
+    ) -> Result<Option<R>, SimError>
+    where
+        T: Send,
+        R: Mergeable + Send,
+        F: Fn(usize, Vec<T>) -> R + Sync,
+    {
         if shard_size == 0 {
             return Err(SimError::InvalidParameter {
                 name: "shard_size",
                 value: 0.0,
             });
         }
-        Ok(Self { runner, shard_size })
-    }
-
-    /// The worker count this runner will use.
-    pub fn workers(&self) -> usize {
-        self.runner.workers()
-    }
-
-    /// The number of items per shard.
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
-    /// Applies `f` to every contiguous shard — `f(first_global_index,
-    /// shard_items)` — in parallel, and folds the shard reports in
-    /// shard index order. Returns `None` for empty input.
-    pub fn run_shards<T, R, F>(&self, items: Vec<T>, f: F) -> Option<R>
-    where
-        T: Send,
-        R: Mergeable + Send,
-        F: Fn(usize, Vec<T>) -> R + Sync,
-    {
-        if items.is_empty() {
-            return None;
-        }
-        let shards = chunk_shards(items, self.shard_size);
-        let shard_reports = self.runner.run(shards, |_, (base, shard)| f(base, shard));
-        shard_reports.into_iter().reduce(|mut acc, r| {
+        let shards = chunk_shards(items, shard_size);
+        let shard_reports = self.run(shards, |_, (base, shard)| f(base, shard));
+        Ok(shard_reports.into_iter().reduce(|mut acc, r| {
             acc.merge(r);
             acc
-        })
+        }))
     }
 }
 
@@ -116,9 +75,12 @@ impl BatchRunner {
 mod tests {
     use super::*;
 
+    /// A zero shard size is a typed error, raised even for empty input.
     #[test]
     fn zero_shard_size_is_a_typed_error() {
-        let err = BatchRunner::new(4, 0).unwrap_err();
+        let err = SweepRunner::new(4)
+            .run_shards((0..10).collect::<Vec<u32>>(), 0, |_, shard| shard)
+            .unwrap_err();
         assert_eq!(
             err,
             SimError::InvalidParameter {
@@ -126,7 +88,9 @@ mod tests {
                 value: 0.0
             }
         );
-        let err = BatchRunner::from_runner(SweepRunner::new(2), 0).unwrap_err();
+        let err = SweepRunner::new(1)
+            .run_shards(Vec::<u32>::new(), 0, |_, shard| shard)
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::InvalidParameter {
@@ -149,15 +113,18 @@ mod tests {
         );
     }
 
+    /// Shard bases are global indices, shards cover the input in order,
+    /// and the fold is identical at any worker count and shard size —
+    /// including shards larger than the input.
     #[test]
     fn run_shards_is_worker_and_shard_invariant() {
         let items: Vec<u32> = (0..97).collect();
         let reference: Vec<u32> = items.iter().map(|x| x * 3).collect();
         for workers in [1, 2, 5, 16] {
             for shard_size in [1, 7, 32, 257] {
-                let merged = BatchRunner::new(workers, shard_size)
-                    .expect("non-zero shard size")
-                    .run_shards(items.clone(), |base, shard| {
+                let merged = SweepRunner::new(workers)
+                    .run_shards(items.clone(), shard_size, |base, shard| {
+                        assert!(shard.len() <= shard_size);
                         shard
                             .into_iter()
                             .enumerate()
@@ -167,6 +134,7 @@ mod tests {
                             })
                             .collect::<Vec<_>>()
                     })
+                    .expect("non-zero shard size")
                     .expect("non-empty input");
                 assert_eq!(merged, reference, "workers={workers} shard={shard_size}");
             }
@@ -175,9 +143,9 @@ mod tests {
 
     #[test]
     fn run_shards_empty_input_is_none() {
-        let out: Option<Vec<u8>> = BatchRunner::new(4, 8)
-            .unwrap()
-            .run_shards(Vec::<u8>::new(), |_, shard| shard);
+        let out: Option<Vec<u8>> = SweepRunner::new(4)
+            .run_shards(Vec::<u8>::new(), 8, |_, shard| shard)
+            .expect("non-zero shard size");
         assert!(out.is_none());
     }
 }

@@ -15,14 +15,12 @@
 //! - [`SweepRunner`] fans scenarios across scoped threads with stable,
 //!   input-order collection, so sweeps are bit-for-bit deterministic
 //!   regardless of worker count;
-//! - [`Mergeable`] + [`SweepRunner::run_merged`] are the sharded
-//!   map-reduce used by fleet-scale aggregation: workers reduce their
-//!   own shards, shard aggregates fold in shard index order, and the
-//!   result is bit-identical at any worker count and shard size;
-//! - [`BatchRunner`] is the shard-at-once variant of the same contract:
-//!   the worker closure receives a whole contiguous shard (for
-//!   struct-of-arrays batch stepping) and shard reports fold in shard
-//!   index order;
+//! - [`Mergeable`] + [`SweepRunner::run_shards`] are the one sharded
+//!   map-reduce, used by fleet runs and endurance campaigns alike: the
+//!   worker closure receives a whole contiguous shard (to fold item by
+//!   item or step as struct-of-arrays lanes), shard reports fold in
+//!   shard index order, and the result is bit-identical at any worker
+//!   count;
 //! - [`Accumulator`] is the common energy ledger behind reports.
 //!
 //! The crate is std-only by design: the build environment has no crate
@@ -40,7 +38,6 @@ mod stepper;
 mod sweep;
 
 pub use accumulator::Accumulator;
-pub use batch::BatchRunner;
 pub use engine::{drive, run_windowed, split_windows};
 pub use error::SimError;
 pub use light::Light;

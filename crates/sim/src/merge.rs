@@ -4,7 +4,7 @@
 //! single aggregate. For the aggregate to be bit-identical at any worker
 //! count, the fold must not depend on completion order: workers reduce
 //! their own shards locally, and the shard results are folded in shard
-//! index order afterwards (see [`crate::SweepRunner::run_merged`]).
+//! index order afterwards (see [`crate::SweepRunner::run_shards`]).
 
 /// A report that can absorb another report of the same type.
 ///

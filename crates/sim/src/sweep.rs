@@ -4,9 +4,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::batch::chunk_shards;
-use crate::error::SimError;
-use crate::merge::Mergeable;
 use crate::scenario::Scenario;
 use crate::stepper::Stepper;
 
@@ -105,61 +102,6 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Maps `f` over every item in shards of `shard_size` and folds the
-    /// per-item reports into one aggregate, returning `Ok(None)` for
-    /// empty input.
-    ///
-    /// Each worker reduces the shards it claims locally (saving one
-    /// allocation per item over [`SweepRunner::run`] + fold), and the
-    /// per-shard aggregates are folded **in shard index order**, so the
-    /// result is bit-for-bit identical at any worker count and any shard
-    /// size — the contract fleet-scale aggregation relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] when `shard_size` is zero.
-    /// A zero shard cannot make progress; it used to be silently clamped
-    /// to 1, which hid the caller's bug *and* quietly changed the shard
-    /// grouping that float-fold results (merged metrics) are identified
-    /// by.
-    pub fn run_merged<T, R, F>(
-        &self,
-        items: Vec<T>,
-        shard_size: usize,
-        f: F,
-    ) -> Result<Option<R>, SimError>
-    where
-        T: Send,
-        R: Mergeable + Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        if shard_size == 0 {
-            return Err(SimError::InvalidParameter {
-                name: "shard_size",
-                value: 0.0,
-            });
-        }
-        if items.is_empty() {
-            return Ok(None);
-        }
-        let shards = chunk_shards(items, shard_size);
-        let shard_reports = self.run(shards, |_, (base, shard)| {
-            let mut report: Option<R> = None;
-            for (offset, item) in shard.into_iter().enumerate() {
-                let r = f(base + offset, item);
-                match report.as_mut() {
-                    Some(acc) => acc.merge(r),
-                    None => report = Some(r),
-                }
-            }
-            report.expect("shards are non-empty by construction")
-        });
-        Ok(shard_reports.into_iter().reduce(|mut acc, r| {
-            acc.merge(r);
-            acc
-        }))
-    }
-
     /// Runs every scenario to completion, returning `(label, result)`
     /// pairs in input order.
     pub fn sweep<'a, S>(
@@ -199,59 +141,6 @@ mod tests {
         assert!(SweepRunner::auto().workers() >= 1);
         let out: Vec<u8> = SweepRunner::new(4).run(Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn run_merged_is_shard_and_worker_invariant() {
-        let items: Vec<u32> = (0..97).collect();
-        let reference: Vec<u32> = items.iter().map(|x| x * 3).collect();
-        for workers in [1, 2, 5, 16] {
-            for shard_size in [1, 7, 32, 1000] {
-                let merged = SweepRunner::new(workers)
-                    .run_merged(items.clone(), shard_size, |i, x| {
-                        assert_eq!(i as u32, x);
-                        vec![x * 3]
-                    })
-                    .expect("non-zero shard size")
-                    .expect("non-empty input");
-                assert_eq!(merged, reference, "workers={workers} shard={shard_size}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_merged_empty_input_is_none() {
-        let out: Option<Vec<u8>> = SweepRunner::new(4)
-            .run_merged(Vec::<u8>::new(), 8, |_, x| vec![x])
-            .expect("non-zero shard size");
-        assert!(out.is_none());
-    }
-
-    /// Regression: a zero shard size used to be silently clamped to 1,
-    /// degenerating the requested grouping without telling the caller.
-    /// It is now a typed error, raised even for empty input.
-    #[test]
-    fn run_merged_zero_shard_size_is_a_typed_error() {
-        let err = SweepRunner::new(4)
-            .run_merged((0..10).collect::<Vec<u32>>(), 0, |_, x| vec![x])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::InvalidParameter {
-                name: "shard_size",
-                value: 0.0
-            }
-        );
-        let err = SweepRunner::new(1)
-            .run_merged(Vec::<u32>::new(), 0, |_, x| vec![x])
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::InvalidParameter {
-                name: "shard_size",
-                ..
-            }
-        ));
     }
 
     #[test]
