@@ -143,6 +143,88 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Folds one shard item by item, as a per-item caller of
+    /// [`SweepRunner::run_shards`] does: `f` sees each item's global
+    /// index and the item reports merge in item order.
+    fn fold_items<T, R, F>(base: usize, shard: Vec<T>, f: F) -> R
+    where
+        R: crate::merge::Mergeable,
+        F: Fn(usize, T) -> R,
+    {
+        shard
+            .into_iter()
+            .enumerate()
+            .map(|(offset, item)| f(base + offset, item))
+            .reduce(|mut acc, r| {
+                acc.merge(r);
+                acc
+            })
+            .expect("shards are non-empty by construction")
+    }
+
+    /// A per-item fold through `run_shards` is identical at any worker
+    /// count and shard size, including shards larger than the input.
+    #[test]
+    fn run_merged_is_shard_and_worker_invariant() {
+        let items: Vec<u32> = (0..97).collect();
+        let reference: Vec<u32> = items.iter().map(|x| x * 3).collect();
+        for workers in [1, 2, 5, 16] {
+            for shard_size in [1, 7, 32, 1000] {
+                let merged = SweepRunner::new(workers)
+                    .run_shards(items.clone(), shard_size, |base, shard| {
+                        fold_items(base, shard, |i, x| {
+                            assert_eq!(i as u32, x);
+                            vec![x * 3]
+                        })
+                    })
+                    .expect("non-zero shard size")
+                    .expect("non-empty input");
+                assert_eq!(merged, reference, "workers={workers} shard={shard_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_merged_empty_input_is_none() {
+        let out: Option<Vec<u8>> = SweepRunner::new(4)
+            .run_shards(Vec::<u8>::new(), 8, |base, shard| {
+                fold_items(base, shard, |_, x| vec![x])
+            })
+            .expect("non-zero shard size");
+        assert!(out.is_none());
+    }
+
+    /// Regression: a zero shard size used to be silently clamped to 1,
+    /// degenerating the requested grouping without telling the caller.
+    /// It is a typed error for a per-item fold too, even for empty input.
+    #[test]
+    fn run_merged_zero_shard_size_is_a_typed_error() {
+        let err = SweepRunner::new(4)
+            .run_shards((0..10).collect::<Vec<u32>>(), 0, |base, shard| {
+                fold_items(base, shard, |_, x| vec![x])
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::SimError::InvalidParameter {
+                name: "shard_size",
+                value: 0.0
+            }
+        );
+        let err = SweepRunner::new(1)
+            .run_shards(Vec::<u32>::new(), 0, |base, shard| {
+                fold_items(base, shard, |_, x| vec![x])
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            crate::error::SimError::InvalidParameter {
+                name: "shard_size",
+                ..
+            }
+        ));
+    }
+
     #[test]
     fn uneven_job_costs_still_collect_in_order() {
         let items: Vec<u64> = (0..32).collect();
